@@ -6,7 +6,8 @@
 #     right reason (no data races hiding behind x86's strong memory model).
 #  2. Build the Bookshelf fuzzer under ASan/UBSan and run the seeded mutation
 #     corpus, so parser robustness bugs (overflows, OOB reads on truncated
-#     records) fail loudly instead of silently corrupting the Design.
+#     records) fail loudly instead of silently corrupting the Design; the
+#     SIMD, model, route, DP and serve suites run under the same build.
 #
 # Usage: scripts/tsan_check.sh [build-dir] [asan-build-dir]
 #        (defaults: build-tsan build-asan)
@@ -41,7 +42,8 @@ cmake -B "$ASAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRP_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" \
-  --target rp_fuzz_bookshelf test_robustness test_simd test_dp test_serve
+  --target rp_fuzz_bookshelf test_robustness test_simd test_model test_route \
+           test_dp test_serve
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=0:${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:${UBSAN_OPTIONS:-}"
@@ -53,6 +55,13 @@ echo "== ASan/UBSan: test_robustness =="
 # suites under ASan/UBSan so a bad lane or stale scratch fails loudly.
 echo "== ASan/UBSan: test_simd =="
 "$ASAN_BUILD_DIR/tests/test_simd"
+# The wirelength chunk kernel indexes per-worker staging planes by pin
+# offset within a chunk, and the router's reused A* scratch is indexed by
+# tile and edge id; an off-by-one in either must fail loudly here.
+echo "== ASan/UBSan: test_model =="
+"$ASAN_BUILD_DIR/tests/test_model"
+echo "== ASan/UBSan: test_route =="
+"$ASAN_BUILD_DIR/tests/test_route"
 echo "== ASan/UBSan: test_dp =="
 "$ASAN_BUILD_DIR/tests/test_dp"
 # The rp_serve protocol parser chews hostile wire input; run its suite (which

@@ -28,7 +28,7 @@ struct NetlistCsr {
   int num_nodes = 0;
   int num_nets = 0;
   int num_pins = 0;
-  int max_net_degree = 0;  ///< upper bound for per-net kernel scratch
+  int max_net_degree = 0;  ///< pin count of the largest net
 
   // net -> pin range
   std::vector<int> net_offset;     ///< size num_nets + 1

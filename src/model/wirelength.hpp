@@ -22,9 +22,14 @@
 // per-pin gradients into pin-owned slots (race-free), the value is reduced
 // in fixed chunk order, and a second parallel pass gathers per-node
 // gradients over each node's pin list in ascending pin order — so results
-// are bitwise identical for any thread count. The CSR view and per-thread
-// exp scratch live in the model and are rebuilt only when the problem
-// shape (node/pin/net counts) changes; steady-state evals allocate nothing.
+// are bitwise identical for any thread count. Each chunk is one batched
+// kernel: it stages every pin's exp arguments, runs a single vector exp
+// over the chunk's contiguous pin range (so 2- and 3-pin nets fill vector
+// lanes too), then finishes each net with the scalar level's 4-lane
+// reduction tree inline — the same bits as one dispatched call per net and
+// array, at every RP_SIMD level. The CSR view and per-thread chunk scratch
+// live in the model and are rebuilt only when the problem shape
+// (node/pin/net counts) changes; steady-state evals allocate nothing.
 
 #include <memory>
 #include <span>
@@ -36,27 +41,30 @@
 
 namespace rp {
 
-/// Per-thread exp scratch for one net axis (owned by the model, one slot
-/// per pool thread, reused across nets and evals). prepare() sizes every
-/// slot to the CSR's max net degree up front; ensure() revalidates at each
-/// use so a model evaluated on a larger design through a reused ThreadPool
-/// can never index past a stale capacity (the buffers only ever grow).
+/// Per-thread scratch of the chunk kernel (owned by the model, one slot per
+/// pool thread, reused across chunks and evals). A chunk stages its pins'
+/// exp arguments in `exps` as four pin-length planes — e^{(x-max)/γ},
+/// e^{(min-x)/γ}, then the same for y — and exponentiates them in place;
+/// `extent` holds each net's x/y min and max. prepare() sizes every slot to
+/// the largest chunk up front; ensure() revalidates per chunk so a model
+/// evaluated on a larger design through a reused ThreadPool can never index
+/// past a stale capacity (the buffers only ever grow).
 struct WlThreadScratch {
-  std::vector<double> ep;   ///< e^{(c - max)/γ}
-  std::vector<double> em;   ///< e^{(min - c)/γ}
-  std::vector<double> arg;  ///< exp arguments (batched SIMD input)
+  std::vector<double> exps;    ///< 4 planes x chunk pins
+  std::vector<double> extent;  ///< 4 per net: x min, x max, y min, y max
 
-  void ensure(std::size_t n) {
-    if (ep.size() < n) {
-      ep.resize(n);
-      em.resize(n);
-      arg.resize(n);
-    }
+  void ensure(std::size_t pins, std::size_t nets) {
+    if (exps.size() < 4 * pins) exps.resize(4 * pins);
+    if (extent.size() < 4 * nets) extent.resize(4 * nets);
   }
 };
 
 class WirelengthModel {
  public:
+  /// Minimum nets per parallel chunk. The chunk layout (and so the order in
+  /// which per-chunk values are summed) is parallel::plan_chunks(nets, this).
+  static constexpr std::size_t kNetGrain = 64;
+
   virtual ~WirelengthModel() = default;
   virtual std::string name() const = 0;
   /// Smoothed wirelength + gradient accumulation. gx/gy sized num_nodes.
@@ -72,13 +80,15 @@ class WirelengthModel {
   double gamma_ = 1.0;
 
   /// CSR view of p, rebuilt when the problem shape changes; also sizes the
-  /// per-thread scratch to the current pool width.
+  /// per-thread scratch to the current pool width and the largest chunk.
   NetlistCsr& prepare(const PlaceProblem& p) const;
   std::vector<WlThreadScratch>& scratch() const { return scratch_; }
 
  private:
   mutable NetlistCsr csr_;
   mutable bool csr_valid_ = false;
+  mutable std::size_t chunk_pins_ = 0;  ///< Largest chunk's pin count.
+  mutable std::size_t chunk_nets_ = 0;  ///< Largest chunk's net count.
   mutable std::vector<WlThreadScratch> scratch_;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <functional>
 
 #include "route/estimator.hpp"
 #include "util/assert.hpp"
@@ -14,46 +14,32 @@ namespace rp {
 
 GlobalRouter::GlobalRouter(RoutingGrid& grid, RouterOptions opt)
     : grid_(grid), opt_(opt), h_base_((grid.nx() - 1) * grid.ny()) {
-  history_.assign(static_cast<std::size_t>(grid.num_h_edges() + grid.num_v_edges()), 0.0);
+  const auto edges = static_cast<std::size_t>(grid.num_h_edges() + grid.num_v_edges());
+  history_.assign(edges, 0.0);
+  edges_.resize(edges);
+  const auto tiles = static_cast<std::size_t>(grid.nx()) * static_cast<std::size_t>(grid.ny());
+  tile_x_.resize(tiles);
+  tile_y_.resize(tiles);
+  for (std::size_t t = 0; t < tiles; ++t) {
+    tile_x_[t] = static_cast<int>(t % static_cast<std::size_t>(grid.nx()));
+    tile_y_[t] = static_cast<int>(t / static_cast<std::size_t>(grid.nx()));
+  }
+  dist_.resize(tiles);
+  came_.resize(tiles);
+  stamp_.assign(tiles, 0);
 }
 
-double GlobalRouter::edge_overuse(int e) const {
-  if (is_h(e)) {
-    const int ix = e % (grid_.nx() - 1), iy = e / (grid_.nx() - 1);
-    return std::max(0.0, grid_.h_use(ix, iy) + 1.0 - grid_.h_cap(ix, iy));
-  }
-  const int r = e - h_base_;
-  const int ix = r % grid_.nx(), iy = r / grid_.nx();
-  return std::max(0.0, grid_.v_use(ix, iy) + 1.0 - grid_.v_cap(ix, iy));
+void GlobalRouter::refresh_base(std::size_t e) {
+  const double len = is_h(static_cast<int>(e)) ? grid_.tile_w() : grid_.tile_h();
+  edges_[e].base = len * (1.0 + history_[e]);
 }
 
 double GlobalRouter::edge_cost(int e) const {
-  double len, cap;
-  if (is_h(e)) {
-    const int ix = e % (grid_.nx() - 1), iy = e / (grid_.nx() - 1);
-    len = grid_.tile_w();
-    cap = grid_.h_cap(ix, iy);
-  } else {
-    const int r = e - h_base_;
-    const int ix = r % grid_.nx(), iy = r / grid_.nx();
-    len = grid_.tile_h();
-    cap = grid_.v_cap(ix, iy);
-  }
-  double c = len * (1.0 + history_[static_cast<std::size_t>(e)]) *
-             (1.0 + pres_fac_ * edge_overuse(e));
-  if (cap < 1e-6) c *= opt_.blocked_penalty;
+  const EdgeState& st = edges_[static_cast<std::size_t>(e)];
+  const double overuse = std::max(0.0, st.use + 1.0 - st.cap);
+  double c = st.base * (1.0 + pres_fac_ * overuse);
+  if (st.blocked) c *= opt_.blocked_penalty;
   return c;
-}
-
-void GlobalRouter::add_edge_usage(int e, double tracks) {
-  if (is_h(e)) {
-    const int ix = e % (grid_.nx() - 1), iy = e / (grid_.nx() - 1);
-    grid_.add_h(ix, iy, tracks);
-  } else {
-    const int r = e - h_base_;
-    const int ix = r % grid_.nx(), iy = r / grid_.nx();
-    grid_.add_v(ix, iy, tracks);
-  }
 }
 
 double GlobalRouter::route_segment(const Segment& s, std::vector<int>& path, int margin) {
@@ -62,28 +48,37 @@ double GlobalRouter::route_segment(const Segment& s, std::vector<int>& path, int
   const int bx1 = std::min(nx - 1, std::max(s.x0, s.x1) + margin);
   const int by0 = std::max(0, std::min(s.y0, s.y1) - margin);
   const int by1 = std::min(ny - 1, std::max(s.y0, s.y1) + margin);
-  const int bw = bx1 - bx0 + 1, bh = by1 - by0 + 1;
-  const auto local = [&](int ix, int iy) { return (iy - by0) * bw + (ix - bx0); };
+  const auto tile = [nx](int ix, int iy) { return iy * nx + ix; };
 
   const double min_pitch = std::min(grid_.tile_w(), grid_.tile_h());
   const auto heur = [&](int ix, int iy) {
     return (std::abs(ix - s.x1) + std::abs(iy - s.y1)) * min_pitch;
   };
 
-  constexpr double kInf = 1e300;
-  std::vector<double> dist(static_cast<std::size_t>(bw) * bh, kInf);
-  std::vector<int> came_edge(static_cast<std::size_t>(bw) * bh, -1);
-  using QE = std::pair<double, int>;  // (f = g + h, local tile)
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> open;
-  dist[static_cast<std::size_t>(local(s.x0, s.y0))] = 0.0;
-  open.emplace(heur(s.x0, s.y0), local(s.x0, s.y0));
+  if (++epoch_ == 0) {  // stamp wrap-around: invalidate every tile once
+    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    epoch_ = 1;
+  }
+  const auto seen = [&](int t) { return stamp_[static_cast<std::size_t>(t)] == epoch_; };
+  // Ties on f pop the smaller tile id first; tile ids order tiles row-major
+  // exactly like ids local to the segment's box would, so the search order
+  // does not depend on the id space.
+  const auto heap_cmp = std::greater<HeapEntry>();
+  open_.clear();
+  const int start = tile(s.x0, s.y0);
+  stamp_[static_cast<std::size_t>(start)] = epoch_;
+  dist_[static_cast<std::size_t>(start)] = 0.0;
+  came_[static_cast<std::size_t>(start)] = -1;
+  open_.emplace_back(heur(s.x0, s.y0), start);
 
-  const int goal = local(s.x1, s.y1);
-  while (!open.empty()) {
-    const auto [f, u] = open.top();
-    open.pop();
-    const int ux = bx0 + u % bw, uy = by0 + u / bw;
-    const double g = dist[static_cast<std::size_t>(u)];
+  const int goal = tile(s.x1, s.y1);
+  while (!open_.empty()) {
+    std::pop_heap(open_.begin(), open_.end(), heap_cmp);
+    const auto [f, u] = open_.back();
+    open_.pop_back();
+    const int ux = tile_x_[static_cast<std::size_t>(u)];
+    const int uy = tile_y_[static_cast<std::size_t>(u)];
+    const double g = dist_[static_cast<std::size_t>(u)];
     if (f > g + heur(ux, uy) + 1e-12) continue;  // stale entry
     if (u == goal) break;
     struct Nb {
@@ -97,33 +92,34 @@ double GlobalRouter::route_segment(const Segment& s, std::vector<int>& path, int
     };
     for (const auto& nb : nbs) {
       if (nb.edge < 0) continue;
-      const int vl = local(nb.ix, nb.iy);
+      const int v = tile(nb.ix, nb.iy);
+      const auto uv = static_cast<std::size_t>(v);
       const double ng = g + edge_cost(nb.edge);
-      if (ng < dist[static_cast<std::size_t>(vl)]) {
-        dist[static_cast<std::size_t>(vl)] = ng;
-        came_edge[static_cast<std::size_t>(vl)] = nb.edge;
-        open.emplace(ng + heur(nb.ix, nb.iy), vl);
+      if (!seen(v) || ng < dist_[uv]) {
+        stamp_[uv] = epoch_;
+        dist_[uv] = ng;
+        came_[uv] = nb.edge;
+        open_.emplace_back(ng + heur(nb.ix, nb.iy), v);
+        std::push_heap(open_.begin(), open_.end(), heap_cmp);
       }
     }
   }
 
-  if (dist[static_cast<std::size_t>(goal)] >= kInf) return -1.0;  // unreachable (shouldn't happen)
+  if (!seen(goal)) return -1.0;  // unreachable (shouldn't happen)
   // Walk back from goal to start via stored edges.
   double length = 0.0;
   int cx = s.x1, cy = s.y1;
   while (!(cx == s.x0 && cy == s.y0)) {
-    const int e = came_edge[static_cast<std::size_t>(local(cx, cy))];
+    const int e = came_[static_cast<std::size_t>(tile(cx, cy))];
     RP_ASSERT(e >= 0, "router backtrace broke");
     path.push_back(e);
+    const auto [ix, iy] = edge_xy(e);
     if (is_h(e)) {
-      const int ix = e % (grid_.nx() - 1), iy = e / (grid_.nx() - 1);
       length += grid_.tile_w();
       // Edge connects (ix,iy)-(ix+1,iy); figure out which side we came from.
       cx = (cx == ix + 1 && cy == iy) ? ix : ix + 1;
       cy = iy;
     } else {
-      const int r = e - h_base_;
-      const int ix = r % grid_.nx(), iy = r / grid_.nx();
       length += grid_.tile_h();
       cy = (cy == iy + 1 && cx == ix) ? iy : iy + 1;
       cx = ix;
@@ -137,6 +133,15 @@ RouteStats GlobalRouter::route(const Design& d) {
   const GridMap& m = grid_.map();
   grid_.clear_usage();
   pres_fac_ = opt_.pres_fac_init;
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    const int ei = static_cast<int>(e);
+    const auto [ix, iy] = edge_xy(ei);
+    EdgeState& st = edges_[e];
+    st.cap = is_h(ei) ? grid_.h_cap(ix, iy) : grid_.v_cap(ix, iy);
+    st.blocked = st.cap < 1e-6;
+    st.use = 0.0;
+    refresh_base(e);
+  }
 
   // Build segments from net MSTs (pin positions snapped to tiles).
   std::vector<Segment> segs;
@@ -176,24 +181,14 @@ RouteStats GlobalRouter::route(const Design& d) {
     // Identify overflowed edges; bump history.
     std::vector<char> edge_over(history_.size(), 0);
     int over_edges = 0;
-    for (std::size_t e = 0; e < history_.size(); ++e) {
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
       // overuse without the +1 lookahead:
-      double use, cap;
-      const int ei = static_cast<int>(e);
-      if (is_h(ei)) {
-        const int ix = ei % (grid_.nx() - 1), iy = ei / (grid_.nx() - 1);
-        use = grid_.h_use(ix, iy);
-        cap = grid_.h_cap(ix, iy);
-      } else {
-        const int r = ei - h_base_;
-        const int ix = r % grid_.nx(), iy = r / grid_.nx();
-        use = grid_.v_use(ix, iy);
-        cap = grid_.v_cap(ix, iy);
-      }
+      const double use = edges_[e].use, cap = edges_[e].cap;
       if (use > cap + 1e-9) {
         edge_over[e] = 1;
         ++over_edges;
         history_[e] += opt_.hist_incr * (use - cap) / std::max(1.0, cap);
+        refresh_base(e);
       }
     }
     if (over_edges == 0) break;
@@ -223,6 +218,14 @@ RouteStats GlobalRouter::route(const Design& d) {
              rerouted);
   }
 
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    const int ei = static_cast<int>(e);
+    const auto [ix, iy] = edge_xy(ei);
+    if (is_h(ei))
+      grid_.add_h(ix, iy, edges_[e].use);
+    else
+      grid_.add_v(ix, iy, edges_[e].use);
+  }
   stats.wirelength = grid_.used_wirelength();
   stats.total_overflow = grid_.total_overflow();
   stats.max_utilization = grid_.max_utilization();

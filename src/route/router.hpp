@@ -13,6 +13,8 @@
 // for FINAL placement evaluation (routed wirelength, overflow, ACE); the
 // placement loop itself uses the cheap estimators in estimator.hpp.
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "db/design.hpp"
@@ -56,6 +58,17 @@ class GlobalRouter {
     int x0, y0, x1, y1;
     int net;
   };
+  /// Flat per-edge routing state. base = length·(1 + history), refreshed
+  /// whenever history changes; use mirrors the grid's usage while routing
+  /// and is written back to it when route() finishes.
+  struct EdgeState {
+    double base = 0.0;
+    double use = 0.0;
+    double cap = 0.0;
+    bool blocked = false;  ///< cap ≈ 0: cost scaled by blocked_penalty.
+  };
+  using HeapEntry = std::pair<double, int>;  ///< (f = g + h, tile)
+
   /// Route one segment; appends traversed edge ids to path. Returns length.
   double route_segment(const Segment& s, std::vector<int>& path, int margin);
 
@@ -64,15 +77,31 @@ class GlobalRouter {
   int h_id(int ix, int iy) const { return iy * (grid_.nx() - 1) + ix; }
   int v_id(int ix, int iy) const { return h_base_ + iy * grid_.nx() + ix; }
   bool is_h(int e) const { return e < h_base_; }
+  /// (ix, iy) of edge e's lower-left tile.
+  std::pair<int, int> edge_xy(int e) const {
+    if (is_h(e)) return {e % (grid_.nx() - 1), e / (grid_.nx() - 1)};
+    return {(e - h_base_) % grid_.nx(), (e - h_base_) / grid_.nx()};
+  }
   double edge_cost(int e) const;
-  double edge_overuse(int e) const;
-  void add_edge_usage(int e, double tracks);
+  void add_edge_usage(int e, double tracks) { edges_[static_cast<std::size_t>(e)].use += tracks; }
+  void refresh_base(std::size_t e);
 
   RoutingGrid& grid_;
   RouterOptions opt_;
   int h_base_ = 0;
   double pres_fac_ = 0.0;
   std::vector<double> history_;
+  std::vector<EdgeState> edges_;
+
+  // A* scratch over the full tile grid (tile id = iy*nx + ix), reused by
+  // every segment: a tile's dist_/came_ entries are live only while its
+  // stamp_ equals epoch_, so starting a search is one increment.
+  std::vector<int> tile_x_, tile_y_;  ///< tile id -> (ix, iy)
+  std::vector<double> dist_;
+  std::vector<int> came_;  ///< Edge the best path entered the tile by.
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+  std::vector<HeapEntry> open_;  ///< Min-heap on (f, tile).
 };
 
 }  // namespace rp

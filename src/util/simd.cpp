@@ -64,60 +64,6 @@ void s_bell_deriv_row(double d0, double step, std::size_t n, double d1,
   bell_deriv_row_range(d0, step, 0, n, d1, d2, a, b, out);
 }
 
-void s_minmax(const double* x, std::size_t n, double* mn_out, double* mx_out) {
-  double mn, mx;
-  std::size_t i;
-  if (n >= 4) {
-    double mn0 = x[0], mn1 = x[1], mn2 = x[2], mn3 = x[3];
-    double mx0 = x[0], mx1 = x[1], mx2 = x[2], mx3 = x[3];
-    for (i = 4; i + 3 < n; i += 4) {
-      mn0 = min2(mn0, x[i]);
-      mn1 = min2(mn1, x[i + 1]);
-      mn2 = min2(mn2, x[i + 2]);
-      mn3 = min2(mn3, x[i + 3]);
-      mx0 = max2(mx0, x[i]);
-      mx1 = max2(mx1, x[i + 1]);
-      mx2 = max2(mx2, x[i + 2]);
-      mx3 = max2(mx3, x[i + 3]);
-    }
-    mn = min2(min2(mn0, mn1), min2(mn2, mn3));
-    mx = max2(max2(mx0, mx1), max2(mx2, mx3));
-  } else {
-    mn = mx = x[0];
-    i = 1;
-  }
-  for (; i < n; ++i) {
-    mn = min2(mn, x[i]);
-    mx = max2(mx, x[i]);
-  }
-  *mn_out = mn;
-  *mx_out = mx;
-}
-
-double s_sum(const double* x, std::size_t n) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 3 < n; i += 4) {
-    l0 += x[i];
-    l1 += x[i + 1];
-    l2 += x[i + 2];
-    l3 += x[i + 3];
-  }
-  return combine_sum(l0, l1, l2, l3, sum_tail(x, i, n));
-}
-
-double s_dot(const double* a, const double* b, std::size_t n) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 3 < n; i += 4) {
-    l0 += a[i] * b[i];
-    l1 += a[i + 1] * b[i + 1];
-    l2 += a[i + 2] * b[i + 2];
-    l3 += a[i + 3] * b[i + 3];
-  }
-  return combine_sum(l0, l1, l2, l3, dot_tail(a, b, i, n));
-}
-
 double s_abs_max(const double* x, std::size_t n) {
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   std::size_t i = 0;
@@ -148,7 +94,7 @@ constexpr Ops kScalarOps = {
     Level::Scalar,  s_affine,   s_exp_nonpos, s_neg,
     s_axpy,         s_axpy_out, s_cg_dir,     s_lse_grad,
     s_wa_grad,      s_bell_row, s_bell_deriv_row,
-    s_minmax,       s_sum,      s_dot,        s_abs_max,
+    minmax_lanes,   sum_lanes,  dot_lanes,    s_abs_max,
     s_pr_num,
 };
 

@@ -57,6 +57,7 @@ struct Ops {
   void (*affine)(const double* x, std::size_t n, double bias, double scale,
                  double* out);
   /// out[i] = exp(x[i]) for finite x[i] <= 0 (flushes to 0 below -708).
+  /// Element-wise, so out may alias x (in-place evaluation).
   void (*exp_nonpos)(const double* x, std::size_t n, double* out);
   /// out[i] = -x[i]
   void (*neg)(const double* x, std::size_t n, double* out);

@@ -3,7 +3,10 @@
 // dispatch level includes this header so the scalar tails, the exp
 // polynomial, and the lane-combine trees are literally the same code in
 // each translation unit — the foundation of the bitwise-identity contract
-// (see util/simd.hpp). Nothing here is public API.
+// (see util/simd.hpp). Nothing here is public API; the one client outside
+// util/ is the wirelength chunk kernel (model/wirelength.cpp), which runs
+// the scalar level's 4-lane reductions inline on per-net pin ranges too
+// short to be worth a dispatched call.
 
 #include <bit>
 #include <cstddef>
@@ -90,6 +93,66 @@ inline double combine_sum(double l0, double l1, double l2, double l3,
 }
 
 inline double abs_one(double v) { return __builtin_fabs(v); }
+
+// ------------------------------------------------ scalar 4-lane reductions --
+// The scalar dispatch level's reductions, executing the contract's tree
+// literally: 4 virtual lanes over blocks of 4, (l0+l1) + (l2+l3), tail last.
+
+/// mn/mx over x[0..n), n >= 1.
+inline void minmax_lanes(const double* x, std::size_t n, double* mn_out,
+                         double* mx_out) {
+  double mn, mx;
+  std::size_t i;
+  if (n >= 4) {
+    double mn0 = x[0], mn1 = x[1], mn2 = x[2], mn3 = x[3];
+    double mx0 = x[0], mx1 = x[1], mx2 = x[2], mx3 = x[3];
+    for (i = 4; i + 3 < n; i += 4) {
+      mn0 = min2(mn0, x[i]);
+      mn1 = min2(mn1, x[i + 1]);
+      mn2 = min2(mn2, x[i + 2]);
+      mn3 = min2(mn3, x[i + 3]);
+      mx0 = max2(mx0, x[i]);
+      mx1 = max2(mx1, x[i + 1]);
+      mx2 = max2(mx2, x[i + 2]);
+      mx3 = max2(mx3, x[i + 3]);
+    }
+    mn = min2(min2(mn0, mn1), min2(mn2, mn3));
+    mx = max2(max2(mx0, mx1), max2(mx2, mx3));
+  } else {
+    mn = mx = x[0];
+    i = 1;
+  }
+  for (; i < n; ++i) {
+    mn = min2(mn, x[i]);
+    mx = max2(mx, x[i]);
+  }
+  *mn_out = mn;
+  *mx_out = mx;
+}
+
+inline double sum_lanes(const double* x, std::size_t n) {
+  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 3 < n; i += 4) {
+    l0 += x[i];
+    l1 += x[i + 1];
+    l2 += x[i + 2];
+    l3 += x[i + 3];
+  }
+  return combine_sum(l0, l1, l2, l3, sum_tail(x, i, n));
+}
+
+inline double dot_lanes(const double* a, const double* b, std::size_t n) {
+  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 3 < n; i += 4) {
+    l0 += a[i] * b[i];
+    l1 += a[i + 1] * b[i + 1];
+    l2 += a[i + 2] * b[i + 2];
+    l3 += a[i + 3] * b[i + 3];
+  }
+  return combine_sum(l0, l1, l2, l3, dot_tail(a, b, i, n));
+}
 
 // Element-wise bodies shared verbatim between scalar level and vector tails.
 inline void affine_range(const double* x, std::size_t b, std::size_t n,

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 
 #include "gen/generator.hpp"
@@ -270,6 +272,46 @@ TEST_F(RouteTest, RouterOnGeneratedBenchmark) {
   // Sanity: routed WL ≥ sum of MST lengths cannot be asserted exactly at
   // tile granularity, but it must be within a plausible factor of HPWL.
   EXPECT_LT(st.wirelength, 10 * d.hpwl() + 1e4);
+}
+
+/// FNV-1a over the bit patterns of a double sequence.
+struct BitHash {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 64; b += 8) {
+      h ^= (bits >> b) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+TEST_F(RouteTest, RouterCongestedResultPinned) {
+  // A congested design (random start positions, tight supply) that takes
+  // every rip-up round. Stats and per-edge usage are pinned to the bits the
+  // reference router produced, so any change to the A* search order, the
+  // edge costs or the rip-up loop shows up here.
+  BenchmarkSpec spec = small_spec(7);
+  spec.track_supply = 0.8;
+  const Design d = generate_benchmark(spec);
+  RoutingGrid g(d, true);
+  GlobalRouter router(g);
+  const RouteStats st = router.route(d);
+
+  BitHash usage;
+  for (int iy = 0; iy < g.ny(); ++iy)
+    for (int ix = 0; ix + 1 < g.nx(); ++ix) usage.add(g.h_use(ix, iy));
+  for (int iy = 0; iy + 1 < g.ny(); ++iy)
+    for (int ix = 0; ix < g.nx(); ++ix) usage.add(g.v_use(ix, iy));
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st.wirelength), 0x412c910799999994ULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st.total_overflow), 0x40d5721cafba23f0ULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st.max_utilization), 0x404b624f2cddb0d8ULL);
+  EXPECT_EQ(st.overflowed_edges, 709);
+  EXPECT_EQ(st.iterations, 5);
+  EXPECT_EQ(st.segments, 5075);
+  EXPECT_FALSE(st.overflow_free);
+  EXPECT_EQ(usage.h, 0x6e2315277c9afed5ULL);
 }
 
 // ---------------- metrics ----------------
