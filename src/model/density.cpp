@@ -14,46 +14,15 @@ namespace rp {
 
 namespace {
 
-// Pass-1/rasterization chunking: few, fat chunks — every chunk owns a full
-// scratch bin grid, so the cap bounds the extra memory at kGridChunkCap
-// grids regardless of thread count.
-constexpr std::size_t kNodeGrain = 256;
-constexpr int kGridChunkCap = 8;
-constexpr std::size_t kBinGrain = 4096;
-
-/// One axis of the bell-shaped potential.
-///   d1 = w/2 + bin, d2 = w/2 + 2·bin
-///   p(d) = 1 - a·d²        for |d| ≤ d1      a = 1/(d1·d2)
-///        = b·(|d| - d2)²   for d1 < |d| ≤ d2  b = 1/(bin·d2)
-///        = 0               beyond
+/// One axis of the bell-shaped potential (the shape simd::BellShape spells
+/// out) for an object of width w over bins of width `bin`:
+///   d1 = w/2 + bin, d2 = w/2 + 2·bin, a = 1/(d1·d2), b = 1/(bin·d2),
 /// C1-continuous at d1 and d2 by construction.
-struct Bell {
-  double d1, d2, a, b;
-
-  Bell(double w, double bin) {
-    d1 = w / 2 + bin;
-    d2 = w / 2 + 2 * bin;
-    a = 1.0 / (d1 * d2);
-    b = 1.0 / (bin * d2);
-  }
-  double value(double dx) const {
-    const double d = std::abs(dx);
-    if (d <= d1) return 1.0 - a * d * d;
-    if (d <= d2) {
-      const double t = d - d2;
-      return b * t * t;
-    }
-    return 0.0;
-  }
-  /// d p / d dx (signed).
-  double deriv(double dx) const {
-    const double d = std::abs(dx);
-    const double sign = dx >= 0 ? 1.0 : -1.0;
-    if (d <= d1) return -2.0 * a * d * sign;
-    if (d <= d2) return 2.0 * b * (d - d2) * sign;
-    return 0.0;
-  }
-};
+simd::BellShape bell_shape(double w, double bin) {
+  const double d1 = w / 2 + bin;
+  const double d2 = w / 2 + 2 * bin;
+  return {d1, d2, 1.0 / (d1 * d2), 1.0 / (bin * d2)};
+}
 
 }  // namespace
 
@@ -77,7 +46,6 @@ DensityModel::DensityModel(const PlaceProblem& p, const DensityConfig& cfg) {
   for (int iy = 0; iy < ny; ++iy) yc_[static_cast<std::size_t>(iy)] = grid_.bin_center(0, iy).y;
   target_density_ = cfg.target_density;
   scale_ = Grid2D<double>(nx, ny, 1.0);
-  dens_ = Grid2D<double>(nx, ny, 0.0);
   resid_ = Grid2D<double>(nx, ny, 0.0);
   rebuild_fixed(p);
 }
@@ -112,86 +80,100 @@ void DensityModel::apply_capacity_scale(const Grid2D<double>& scale) {
   rebuild_capacity();
 }
 
+simd::BellWindow DensityModel::window(const PlaceProblem& p, std::size_t uv,
+                                      std::size_t* first_bin) const {
+  const auto& n = p.nodes[uv];
+  const double cx = p.x[uv];
+  const double cy = p.y[uv];
+  const double bw = grid_.bin_w(), bh = grid_.bin_h();
+  const simd::BellShape bx = bell_shape(n.w, bw), by = bell_shape(n.h, bh);
+  const int nx = grid_.nx(), ny = grid_.ny();
+  const int ix0 = std::max(0, grid_.ix_of(cx - bx.d2) - 1);
+  const int ix1 = std::min(nx - 1, grid_.ix_of(cx + bx.d2) + 1);
+  const int iy0 = std::max(0, grid_.iy_of(cy - by.d2) - 1);
+  const int iy1 = std::min(ny - 1, grid_.iy_of(cy + by.d2) + 1);
+  *first_bin = static_cast<std::size_t>(iy0) * static_cast<std::size_t>(nx) +
+               static_cast<std::size_t>(ix0);
+  return {bx,
+          by,
+          cx - xc_[static_cast<std::size_t>(ix0)],
+          -bw,
+          static_cast<std::size_t>(ix1 - ix0 + 1),
+          cy,
+          yc_.data() + iy0,
+          static_cast<std::size_t>(iy1 - iy0 + 1)};
+}
+
+parallel::ChunkPlan DensityModel::node_chunks(std::size_t nn) const {
+  const parallel::ChunkPlan plan = parallel::plan_chunks(nn, kNodeGrain, kGridChunkCap);
+  if (static_cast<int>(chunk_dens_.size()) < plan.count)
+    chunk_dens_.resize(static_cast<std::size_t>(plan.count));
+  return plan;
+}
+
+Grid2D<double>& DensityModel::zeroed_chunk_grid(int ci) const {
+  Grid2D<double>& g = chunk_dens_[static_cast<std::size_t>(ci)];
+  if (g.nx() != grid_.nx() || g.ny() != grid_.ny())
+    g = Grid2D<double>(grid_.nx(), grid_.ny(), 0.0);
+  else
+    g.fill(0.0);
+  return g;
+}
+
 double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
                           std::span<double> gy) {
   if (gx.size() != p.nodes.size() || gy.size() != p.nodes.size())
     throw std::runtime_error("density eval: gradient span size mismatch");
   RP_PROFILE_REGION("kernel/density");
-  const int nx = grid_.nx(), ny = grid_.ny();
-  const double bw = grid_.bin_w(), bh = grid_.bin_h();
+  const auto nx = static_cast<std::size_t>(grid_.nx());
   const auto nn = static_cast<std::size_t>(p.num_nodes());
   RP_COUNT("parallel.density_evals", 1);
 
-  // Pass 1: accumulate smoothed density, one scratch grid per node chunk;
-  // the per-node normalization c_v is cached for pass 2. The x-axis bell is
-  // sampled once per node into a per-worker row buffer (bins are uniform,
-  // so the sample points are d0 + i·(-bin_w)) and applied row-wise with
-  // the dispatched sum/axpy kernels — Grid2D rows are contiguous in ix.
+  // Every node's work in each pass is one dispatched per-node kernel (see
+  // simd::Ops::bell_splat / bell_gather): the bells are sampled once per
+  // node into the worker's buffer, and the window's bin rows — contiguous
+  // in ix — are updated or read in row order.
   csum_.resize(nn);
   const auto workers = static_cast<std::size_t>(parallel::num_threads());
-  if (row_scratch_.size() < workers) row_scratch_.resize(workers);
-  const parallel::ChunkPlan plan = parallel::plan_chunks(nn, kNodeGrain, kGridChunkCap);
-  if (static_cast<int>(chunk_dens_.size()) < plan.count)
-    chunk_dens_.resize(static_cast<std::size_t>(plan.count));
+  if (samples_.size() < workers) samples_.resize(workers);
+  const std::size_t samples = 2 * (nx + static_cast<std::size_t>(grid_.ny()));
+  for (auto& sc : samples_)
+    if (sc.size() < samples) sc.resize(samples);
+
+  // Pass 1: accumulate smoothed density, one scratch grid per node chunk;
+  // the per-node normalization c_v is cached for pass 2.
+  const parallel::ChunkPlan plan = node_chunks(nn);
   parallel::ThreadPool::instance().run(plan, [&](int ci, int worker) {
     const simd::Ops& ops = simd::ops();
-    RowScratch& sc = row_scratch_[static_cast<std::size_t>(worker)];
-    sc.ensure(static_cast<std::size_t>(nx));
-    Grid2D<double>& g = chunk_dens_[static_cast<std::size_t>(ci)];
-    if (g.nx() != nx || g.ny() != ny) g = Grid2D<double>(nx, ny, 0.0);
-    else g.fill(0.0);
+    double* scratch = samples_[static_cast<std::size_t>(worker)].data();
+    double* g = zeroed_chunk_grid(ci).data().data();
     for (std::size_t uv = plan.begin(ci); uv < plan.end(ci); ++uv) {
       csum_[uv] = 0.0;
       const auto& n = p.nodes[uv];
       if (n.fixed) continue;
-      const double cx = p.x[uv];
-      const double cy = p.y[uv];
-      const Bell bx(n.w, bw), by(n.h, bh);
-      const int ix0 = std::max(0, grid_.ix_of(cx - bx.d2) - 1);
-      const int ix1 = std::min(nx - 1, grid_.ix_of(cx + bx.d2) + 1);
-      const int iy0 = std::max(0, grid_.iy_of(cy - by.d2) - 1);
-      const int iy1 = std::min(ny - 1, grid_.iy_of(cy + by.d2) + 1);
-      const auto rw = static_cast<std::size_t>(ix1 - ix0 + 1);
-      ops.bell_row(cx - xc_[static_cast<std::size_t>(ix0)], -bw, rw, bx.d1,
-                   bx.d2, bx.a, bx.b, sc.px.data());
-      const double row_sum = ops.sum(sc.px.data(), rw);
-      double s = 0.0;
-      for (int iy = iy0; iy <= iy1; ++iy) {
-        const double py = by.value(cy - yc_[static_cast<std::size_t>(iy)]);
-        if (py == 0.0) continue;
-        s += py * row_sum;
-      }
-      if (s <= 0.0) continue;
-      const double cv = n.area() * p.inflate[uv] / s;
-      csum_[uv] = cv;
-      for (int iy = iy0; iy <= iy1; ++iy) {
-        const double py = by.value(cy - yc_[static_cast<std::size_t>(iy)]);
-        if (py == 0.0) continue;
-        ops.axpy(cv * py, sc.px.data(), rw, &g(ix0, iy));
-      }
+      std::size_t first = 0;
+      const simd::BellWindow w = window(p, uv, &first);
+      csum_[uv] = ops.bell_splat(w, n.area() * p.inflate[uv], g + first, nx, scratch);
     }
   });
 
-  // Reduce chunk grids into dens_ (per bin, ascending chunk order).
-  const std::size_t bins = dens_.size();
-  if (plan.count == 0) dens_.fill(0.0);
-  parallel::parallel_for(bins, kBinGrain, [&](std::size_t b, std::size_t e, int) {
-    for (std::size_t i = b; i < e; ++i) {
-      double s = 0.0;
-      for (int ci = 0; ci < plan.count; ++ci) s += chunk_dens_[static_cast<std::size_t>(ci)].data()[i];
-      dens_.data()[i] = s;
-    }
-  });
-
-  // Residuals and penalty value (chunk-ordered reduction over bins).
+  // One pass over the bins: density = chunk grids summed per bin in
+  // ascending chunk order, residual (D-C)^+, and the penalty Σ residual²
+  // (a chunk-ordered reduction over bins).
   const double penalty = parallel::parallel_reduce(
-      bins, kBinGrain, 0.0,
+      resid_.size(), kBinGrain, 0.0,
       [&](std::size_t b, std::size_t e, int) -> double {
+        double* r = resid_.data().data();
+        std::fill(r + b, r + e, 0.0);
+        for (int ci = 0; ci < plan.count; ++ci) {
+          const double* c = chunk_dens_[static_cast<std::size_t>(ci)].data().data();
+          for (std::size_t i = b; i < e; ++i) r[i] += c[i];
+        }
+        const double* cap = cap_.data().data();
         double part = 0.0;
         for (std::size_t i = b; i < e; ++i) {
-          const double r = std::max(0.0, dens_.data()[i] - cap_.data()[i]);
-          resid_.data()[i] = r;
-          part += r * r;
+          r[i] = std::max(0.0, r[i] - cap[i]);
+          part += r[i] * r[i];
         }
         return part;
       },
@@ -199,36 +181,16 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
 
   // Pass 2: gradients.  dN/dx_v = Σ_b 2·R_b · c_v · px'(cx-xb) · py.
   // Embarrassingly parallel: every node writes only its own gradient slot.
-  // Row-wise like pass 1: sample px/px' once per node, then one dot product
-  // against the contiguous residual row per iy.
   parallel::parallel_for(nn, kNodeGrain, [&](std::size_t b, std::size_t e, int worker) {
     const simd::Ops& ops = simd::ops();
-    RowScratch& sc = row_scratch_[static_cast<std::size_t>(worker)];
-    sc.ensure(static_cast<std::size_t>(nx));
+    double* scratch = samples_[static_cast<std::size_t>(worker)].data();
+    const double* resid = resid_.data().data();
     for (std::size_t uv = b; uv < e; ++uv) {
-      const auto& n = p.nodes[uv];
-      if (n.fixed || csum_[uv] == 0.0) continue;
-      const double cx = p.x[uv];
-      const double cy = p.y[uv];
-      const Bell bx(n.w, bw), by(n.h, bh);
-      const int ix0 = std::max(0, grid_.ix_of(cx - bx.d2) - 1);
-      const int ix1 = std::min(nx - 1, grid_.ix_of(cx + bx.d2) + 1);
-      const int iy0 = std::max(0, grid_.iy_of(cy - by.d2) - 1);
-      const int iy1 = std::min(ny - 1, grid_.iy_of(cy + by.d2) + 1);
-      const auto rw = static_cast<std::size_t>(ix1 - ix0 + 1);
-      const double d0 = cx - xc_[static_cast<std::size_t>(ix0)];
-      ops.bell_row(d0, -bw, rw, bx.d1, bx.d2, bx.a, bx.b, sc.px.data());
-      ops.bell_deriv_row(d0, -bw, rw, bx.d1, bx.d2, bx.a, bx.b, sc.dpx.data());
-      const double cv = csum_[uv];
+      if (p.nodes[uv].fixed || csum_[uv] == 0.0) continue;
+      std::size_t first = 0;
+      const simd::BellWindow w = window(p, uv, &first);
       double dgx = 0.0, dgy = 0.0;
-      for (int iy = iy0; iy <= iy1; ++iy) {
-        const double dy = cy - yc_[static_cast<std::size_t>(iy)];
-        const double py = by.value(dy);
-        const double dpy = by.deriv(dy);
-        const double* rrow = &resid_(ix0, iy);
-        dgx += ((2.0 * cv) * py) * ops.dot(rrow, sc.dpx.data(), rw);
-        dgy += ((2.0 * cv) * dpy) * ops.dot(rrow, sc.px.data(), rw);
-      }
+      ops.bell_gather(w, csum_[uv], resid + first, nx, scratch, &dgx, &dgy);
       gx[uv] += dgx;
       gy[uv] += dgy;
     }
@@ -239,11 +201,9 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
 Grid2D<double> DensityModel::rasterized_density(const PlaceProblem& p) const {
   Grid2D<double> g(grid_.nx(), grid_.ny(), 0.0);
   const auto nn = static_cast<std::size_t>(p.num_nodes());
-  const parallel::ChunkPlan plan = parallel::plan_chunks(nn, kNodeGrain, kGridChunkCap);
-  std::vector<Grid2D<double>> partial(static_cast<std::size_t>(plan.count));
+  const parallel::ChunkPlan plan = node_chunks(nn);
   parallel::ThreadPool::instance().run(plan, [&](int ci, int) {
-    Grid2D<double>& pg = partial[static_cast<std::size_t>(ci)];
-    pg = Grid2D<double>(grid_.nx(), grid_.ny(), 0.0);
+    Grid2D<double>& pg = zeroed_chunk_grid(ci);
     for (std::size_t uv = plan.begin(ci); uv < plan.end(ci); ++uv) {
       const auto& n = p.nodes[uv];
       if (n.fixed) continue;
@@ -258,7 +218,7 @@ Grid2D<double> DensityModel::rasterized_density(const PlaceProblem& p) const {
   parallel::parallel_for(g.size(), kBinGrain, [&](std::size_t b, std::size_t e, int) {
     for (std::size_t i = b; i < e; ++i) {
       double s = 0.0;
-      for (int ci = 0; ci < plan.count; ++ci) s += partial[static_cast<std::size_t>(ci)].data()[i];
+      for (int ci = 0; ci < plan.count; ++ci) s += chunk_dens_[static_cast<std::size_t>(ci)].data()[i];
       g.data()[i] = s;
     }
   });

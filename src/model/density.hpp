@@ -20,6 +20,8 @@
 
 #include "model/problem.hpp"
 #include "util/grid.hpp"
+#include "util/parallel.hpp"
+#include "util/simd.hpp"
 
 namespace rp {
 
@@ -31,6 +33,14 @@ struct DensityConfig {
 
 class DensityModel {
  public:
+  /// Chunk layouts (and so the order of every floating-point combine): pass
+  /// 1 and rasterization split nodes by plan_chunks(nodes, kNodeGrain,
+  /// kGridChunkCap) — few, fat chunks, since each owns a full bin grid; the
+  /// per-bin reduction and the penalty split bins by kBinGrain.
+  static constexpr std::size_t kNodeGrain = 256;
+  static constexpr int kGridChunkCap = 8;
+  static constexpr std::size_t kBinGrain = 4096;
+
   DensityModel(const PlaceProblem& p, const DensityConfig& cfg);
 
   /// Penalty value; accumulates d(penalty)/dx into gx/gy (movable nodes only).
@@ -61,29 +71,28 @@ class DensityModel {
   Grid2D<double> fixed_area_;  ///< Exact fixed-object area per bin.
   Grid2D<double> cap_;         ///< Capacity per bin.
   Grid2D<double> scale_;       ///< External capacity scaling (default 1).
-  Grid2D<double> dens_;        ///< Scratch: smoothed density per bin.
   Grid2D<double> resid_;       ///< Scratch: (D-C)^+ per bin.
-  // Parallel pass-1 scratch: one accumulation grid per node CHUNK (chunking
-  // depends only on the node count, so the chunk-ordered reduction into
-  // dens_ is bitwise identical for any thread count).
-  std::vector<Grid2D<double>> chunk_dens_;
+  // Pass-1 scratch: one accumulation grid per node CHUNK (chunking depends
+  // only on the node count, so the chunk-ordered per-bin reduction is
+  // bitwise identical for any thread count). rasterized_density() reuses
+  // the same grids for its per-chunk partials.
+  mutable std::vector<Grid2D<double>> chunk_dens_;
   std::vector<double> csum_;   ///< Per-node bell normalization (pass 1 → 2).
 
-  // Per-worker row buffers for the dispatched simd kernels: each node's
-  // bell potential (and derivative) is sampled once per grid ROW into these
-  // and applied with batched sum/axpy/dot — cache-blocked by construction
-  // since Grid2D rows are contiguous in ix.
-  struct RowScratch {
-    std::vector<double> px, dpx;
-    void ensure(std::size_t n) {
-      if (px.size() < n) {
-        px.resize(n);
-        dpx.resize(n);
-      }
-    }
-  };
-  std::vector<RowScratch> row_scratch_;
+  // Per-worker sample buffers for the per-node simd kernels bell_splat and
+  // bell_gather: one node's px, px' (nx each) and py, py' (ny each), each
+  // sampled once per node and pass.
+  std::vector<std::vector<double>> samples_;
 
+  /// Node uv's bell window (its support plus one padding bin per side,
+  /// clamped to the grid) and the bin index of the window's first bin.
+  simd::BellWindow window(const PlaceProblem& p, std::size_t uv,
+                          std::size_t* first_bin) const;
+  /// The node chunk plan of pass 1 and rasterization, with chunk_dens_
+  /// grown to one grid per chunk.
+  parallel::ChunkPlan node_chunks(std::size_t nn) const;
+  /// Node chunk ci's grid, zeroed.
+  Grid2D<double>& zeroed_chunk_grid(int ci) const;
   void rebuild_capacity();
 };
 

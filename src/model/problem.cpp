@@ -30,17 +30,17 @@ double PlaceProblem::hpwl() const {
 }
 
 void PlaceProblem::clamp_to_die() {
-  for (int v = 0; v < num_nodes(); ++v) {
-    const auto& n = nodes[static_cast<std::size_t>(v)];
-    if (n.fixed) continue;
-    // Nodes wider than the die are centered.
-    const double hw = std::min(n.w, die.width()) / 2;
-    const double hh = std::min(n.h, die.height()) / 2;
-    x[static_cast<std::size_t>(v)] = std::clamp(x[static_cast<std::size_t>(v)],
-                                                die.lx + hw, die.hx - hw);
-    y[static_cast<std::size_t>(v)] = std::clamp(y[static_cast<std::size_t>(v)],
-                                                die.ly + hh, die.hy - hh);
-  }
+  for (std::size_t v = 0; v < nodes.size(); ++v)
+    if (!nodes[v].fixed) clamp_node(v);
+}
+
+void PlaceProblem::clamp_node(std::size_t v) {
+  const auto& n = nodes[v];
+  // Nodes wider than the die are centered.
+  const double hw = std::min(n.w, die.width()) / 2;
+  const double hh = std::min(n.h, die.height()) / 2;
+  x[v] = std::clamp(x[v], die.lx + hw, die.hx - hw);
+  y[v] = std::clamp(y[v], die.ly + hh, die.hy - hh);
 }
 
 void PlaceProblem::validate() const {

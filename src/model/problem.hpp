@@ -55,6 +55,8 @@ struct PlaceProblem {
   double hpwl() const;
   /// Clamp every movable node center so the node stays inside the die.
   void clamp_to_die();
+  /// Clamp movable node v's center so it stays inside the die.
+  void clamp_node(std::size_t v);
   /// Internal-consistency checks (sizes match, pin node ids valid, ...).
   void validate() const;
 };

@@ -54,16 +54,6 @@ void s_wa_grad(const double* c, const double* ep, const double* em,
   wa_grad_range(c, ep, em, 0, n, xmax, xmin, ig, rsp, rsm, dc);
 }
 
-void s_bell_row(double d0, double step, std::size_t n, double d1, double d2,
-                double a, double b, double* out) {
-  bell_row_range(d0, step, 0, n, d1, d2, a, b, out);
-}
-
-void s_bell_deriv_row(double d0, double step, std::size_t n, double d1,
-                      double d2, double a, double b, double* out) {
-  bell_deriv_row_range(d0, step, 0, n, d1, d2, a, b, out);
-}
-
 double s_abs_max(const double* x, std::size_t n) {
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   std::size_t i = 0;
@@ -93,7 +83,7 @@ double s_pr_num(const double* g, const double* gp, std::size_t n) {
 constexpr Ops kScalarOps = {
     Level::Scalar,  s_affine,   s_exp_nonpos, s_neg,
     s_axpy,         s_axpy_out, s_cg_dir,     s_lse_grad,
-    s_wa_grad,      s_bell_row, s_bell_deriv_row,
+    s_wa_grad,      bell_splat_lanes, bell_gather_lanes,
     minmax_lanes,   sum_lanes,  dot_lanes,    s_abs_max,
     s_pr_num,
 };

@@ -8,12 +8,13 @@
 // (or running on a host without AVX2) cannot change a single bit of any
 // result. Concretely:
 //
-//  * Reductions (sum/dot/abs_max/pr_num/minmax) accumulate into 4 virtual
-//    lanes over blocks of 4 elements, combine the lanes as
-//    (l0+l1) + (l2+l3), and fold a sequential scalar tail in last — the
-//    scalar path executes this shape literally, AVX2 maps the lanes onto
-//    one 4×f64 register, NEON onto two 2×f64 registers.
-//  * Element-wise kernels (affine/exp/gradients/bell rows) pin the
+//  * Reductions (sum/dot/abs_max/pr_num/minmax, and the row sums and dots
+//    inside bell_splat/bell_gather) accumulate into 4 virtual lanes over
+//    blocks of 4 elements, combine the lanes as (l0+l1) + (l2+l3), and
+//    fold a sequential scalar tail in last — the scalar path executes this
+//    shape literally, AVX2 maps the lanes onto one 4×f64 register, NEON
+//    onto two 2×f64 registers.
+//  * Element-wise kernels (affine/exp/gradients/bell samples) pin the
 //    association order of every expression; no implementation may use FMA
 //    (the build compiles with -ffp-contract=off so the compiler cannot
 //    introduce contractions behind the scalar path's back).
@@ -47,6 +48,27 @@ struct HostFeatures {
 };
 const HostFeatures& host_features();
 
+/// One axis of the bell-shaped density potential (model/density.hpp):
+///   p(d) = 1-(a*|d|)*|d|           for |d| <= d1
+///        = (b*(|d|-d2))*(|d|-d2)   for d1 < |d| <= d2
+///        = 0                       beyond,
+/// with signed derivative ((-2a)*|d|)*sign(d) and ((2b)*(|d|-d2))*sign(d).
+struct BellShape {
+  double d1, d2, a, b;
+};
+
+/// One node's bell window on the density grid: rw bins along x, sampled at
+/// d = dx0 + i*step (uniform bins), by rh bin rows along y, sampled at
+/// d = cy - yc[k] (the row centres, read from the caller's table).
+struct BellWindow {
+  BellShape bx, by;
+  double dx0, step;
+  std::size_t rw;
+  double cy;
+  const double* yc;
+  std::size_t rh;
+};
+
 /// The kernel table. All pointers are always valid; Scalar fills every
 /// slot, vector levels override the whole table (never a mix).
 struct Ops {
@@ -75,13 +97,23 @@ struct Ops {
   void (*wa_grad)(const double* c, const double* ep, const double* em,
                   std::size_t n, double xmax, double xmin, double ig,
                   double rsp, double rsm, double* dc);
-  /// Bell potential sampled along one grid row: d = d0 + i*step,
-  /// out[i] = 1-(a*|d|)*|d| for |d|<=d1, (b*(|d|-d2))*(|d|-d2) for <=d2, 0.
-  void (*bell_row)(double d0, double step, std::size_t n, double d1,
-                   double d2, double a, double b, double* out);
-  /// Signed derivative of bell_row at the same sample points.
-  void (*bell_deriv_row)(double d0, double step, std::size_t n, double d1,
-                         double d2, double a, double b, double* out);
+  // ---- per-node density kernels (see BellWindow; grid rows are `stride`
+  // doubles apart, row k of the window starts at grid + k*stride) ----
+  /// Density pass 1 for one node. Samples px[i] = bell_x(dx0 + i*step) and
+  /// py[k] = bell_y(cy - yc[k]) once, forms s = Σ_k py[k]*sum(px) in row
+  /// order over rows with py[k] != 0, and returns cv = area / s after
+  /// adding (cv*py[k])*px[i] to grid row k (every row with py[k] != 0).
+  /// s <= 0 returns 0 and writes nothing. scratch holds rw + rh doubles.
+  double (*bell_splat)(const BellWindow& w, double area, double* grid,
+                       std::size_t stride, double* scratch);
+  /// Density pass 2 for one node: samples px, px', py, py', then per row k
+  /// (one pass over the residual row) ddx = dot(row, px') and
+  /// ddy = dot(row, px) with the reduction tree, and returns in *gx/*gy
+  /// Σ_k ((2cv)*py[k])*ddx and Σ_k ((2cv)*py'[k])*ddy, summed in row order
+  /// from 0. scratch holds 2*(rw + rh) doubles.
+  void (*bell_gather)(const BellWindow& w, double cv, const double* resid,
+                      std::size_t stride, double* scratch, double* gx,
+                      double* gy);
 
   // ---- reductions (fixed 4-lane tree; see header comment) ----
   /// mn/mx over x[0..n), n >= 1.

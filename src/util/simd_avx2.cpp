@@ -143,58 +143,69 @@ void a_wa_grad(const double* c, const double* ep, const double* em,
   wa_grad_range(c, ep, em, i, n, xmax, xmin, ig, rsp, rsm, dc);
 }
 
-void a_bell_row(double d0, double step, std::size_t n, double d1, double d2,
-                double a, double b, double* out) {
-  const __m256d vd0 = _mm256_set1_pd(d0), vstep = _mm256_set1_pd(step);
-  const __m256d vd1 = _mm256_set1_pd(d1), vd2 = _mm256_set1_pd(d2);
-  const __m256d va = _mm256_set1_pd(a), vb = _mm256_set1_pd(b);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d ramp = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-  std::size_t i = 0;
-  for (; i + 3 < n; i += 4) {
-    const __m256d vi =
-        _mm256_add_pd(_mm256_set1_pd(static_cast<double>(i)), ramp);
-    const __m256d d = abs_pd(_mm256_add_pd(vd0, _mm256_mul_pd(vi, vstep)));
-    const __m256d v1 =
-        _mm256_sub_pd(one, _mm256_mul_pd(_mm256_mul_pd(va, d), d));
-    const __m256d t = _mm256_sub_pd(d, vd2);
-    const __m256d v2 = _mm256_mul_pd(_mm256_mul_pd(vb, t), t);
-    const __m256d m1 = _mm256_cmp_pd(d, vd1, _CMP_LE_OQ);
-    const __m256d m2 = _mm256_cmp_pd(d, vd2, _CMP_LE_OQ);
-    __m256d v = _mm256_and_pd(v2, m2);
-    v = _mm256_blendv_pd(v, v1, m1);
-    _mm256_storeu_pd(out + i, v);
-  }
-  bell_row_range(d0, step, i, n, d1, d2, a, b, out);
+/// Bell values at 4 sample points dx (the blend of bell_one's branches).
+inline __m256d bell_vec(__m256d dx, const BellShape& s) {
+  const __m256d d = abs_pd(dx);
+  const __m256d v1 = _mm256_sub_pd(
+      _mm256_set1_pd(1.0),
+      _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(s.a), d), d));
+  const __m256d t = _mm256_sub_pd(d, _mm256_set1_pd(s.d2));
+  const __m256d v2 = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(s.b), t), t);
+  const __m256d m1 = _mm256_cmp_pd(d, _mm256_set1_pd(s.d1), _CMP_LE_OQ);
+  const __m256d m2 = _mm256_cmp_pd(d, _mm256_set1_pd(s.d2), _CMP_LE_OQ);
+  return _mm256_blendv_pd(_mm256_and_pd(v2, m2), v1, m1);
 }
 
-void a_bell_deriv_row(double d0, double step, std::size_t n, double d1,
-                      double d2, double a, double b, double* out) {
-  const __m256d vd0 = _mm256_set1_pd(d0), vstep = _mm256_set1_pd(step);
-  const __m256d vd1 = _mm256_set1_pd(d1), vd2 = _mm256_set1_pd(d2);
-  const __m256d vna = _mm256_set1_pd(-2.0 * a);
-  const __m256d vpb = _mm256_set1_pd(2.0 * b);
-  const __m256d pos1 = _mm256_set1_pd(1.0), neg1 = _mm256_set1_pd(-1.0);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d ramp = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
+/// Signed bell derivatives at 4 sample points dx (bell_deriv_one).
+inline __m256d bell_deriv_vec(__m256d dx, const BellShape& s) {
+  const __m256d d = abs_pd(dx);
+  const __m256d sign =
+      _mm256_blendv_pd(_mm256_set1_pd(-1.0), _mm256_set1_pd(1.0),
+                       _mm256_cmp_pd(dx, _mm256_setzero_pd(), _CMP_GE_OQ));
+  const __m256d r1 = _mm256_mul_pd(
+      _mm256_mul_pd(_mm256_set1_pd(-2.0 * s.a), d), sign);
+  const __m256d r2 = _mm256_mul_pd(
+      _mm256_mul_pd(_mm256_set1_pd(2.0 * s.b),
+                    _mm256_sub_pd(d, _mm256_set1_pd(s.d2))),
+      sign);
+  const __m256d m1 = _mm256_cmp_pd(d, _mm256_set1_pd(s.d1), _CMP_LE_OQ);
+  const __m256d m2 = _mm256_cmp_pd(d, _mm256_set1_pd(s.d2), _CMP_LE_OQ);
+  return _mm256_blendv_pd(_mm256_and_pd(r2, m2), r1, m1);
+}
+
+/// Sample points dx0 + i*step for lanes i..i+3.
+inline __m256d row_points(double dx0, double step, std::size_t i) {
+  const __m256d vi = _mm256_add_pd(_mm256_set1_pd(static_cast<double>(i)),
+                                   _mm256_set_pd(3.0, 2.0, 1.0, 0.0));
+  return _mm256_add_pd(_mm256_set1_pd(dx0),
+                       _mm256_mul_pd(vi, _mm256_set1_pd(step)));
+}
+
+/// A window's x samples: px = bell_x, and dpx = bell_x' when non-null.
+inline void sample_row(const BellWindow& w, double* px, double* dpx) {
   std::size_t i = 0;
-  for (; i + 3 < n; i += 4) {
-    const __m256d vi =
-        _mm256_add_pd(_mm256_set1_pd(static_cast<double>(i)), ramp);
-    const __m256d dx = _mm256_add_pd(vd0, _mm256_mul_pd(vi, vstep));
-    const __m256d d = abs_pd(dx);
-    const __m256d sign =
-        _mm256_blendv_pd(neg1, pos1, _mm256_cmp_pd(dx, zero, _CMP_GE_OQ));
-    const __m256d r1 = _mm256_mul_pd(_mm256_mul_pd(vna, d), sign);
-    const __m256d r2 =
-        _mm256_mul_pd(_mm256_mul_pd(vpb, _mm256_sub_pd(d, vd2)), sign);
-    const __m256d m1 = _mm256_cmp_pd(d, vd1, _CMP_LE_OQ);
-    const __m256d m2 = _mm256_cmp_pd(d, vd2, _CMP_LE_OQ);
-    __m256d v = _mm256_and_pd(r2, m2);
-    v = _mm256_blendv_pd(v, r1, m1);
-    _mm256_storeu_pd(out + i, v);
+  for (; i + 3 < w.rw; i += 4) {
+    const __m256d dx = row_points(w.dx0, w.step, i);
+    _mm256_storeu_pd(px + i, bell_vec(dx, w.bx));
+    if (dpx != nullptr) _mm256_storeu_pd(dpx + i, bell_deriv_vec(dx, w.bx));
   }
-  bell_deriv_row_range(d0, step, i, n, d1, d2, a, b, out);
+  const BellShape& s = w.bx;
+  bell_row_range(w.dx0, w.step, i, w.rw, s.d1, s.d2, s.a, s.b, px);
+  if (dpx != nullptr)
+    bell_deriv_row_range(w.dx0, w.step, i, w.rw, s.d1, s.d2, s.a, s.b, dpx);
+}
+
+/// A window's y samples: py = bell_y, and dpy = bell_y' when non-null.
+inline void sample_col(const BellWindow& w, double* py, double* dpy) {
+  std::size_t k = 0;
+  for (; k + 3 < w.rh; k += 4) {
+    const __m256d dy =
+        _mm256_sub_pd(_mm256_set1_pd(w.cy), _mm256_loadu_pd(w.yc + k));
+    _mm256_storeu_pd(py + k, bell_vec(dy, w.by));
+    if (dpy != nullptr) _mm256_storeu_pd(dpy + k, bell_deriv_vec(dy, w.by));
+  }
+  bell_at_range(w.cy, w.yc, k, w.rh, w.by, py);
+  if (dpy != nullptr) bell_deriv_at_range(w.cy, w.yc, k, w.rh, w.by, dpy);
 }
 
 void a_minmax(const double* x, std::size_t n, double* mn_out, double* mx_out) {
@@ -271,10 +282,50 @@ double a_pr_num(const double* g, const double* gp, std::size_t n) {
   return combine_sum(l[0], l[1], l[2], l[3], pr_num_tail(g, gp, i, n));
 }
 
+double a_bell_splat(const BellWindow& w, double area, double* grid,
+                    std::size_t stride, double* scratch) {
+  double* px = scratch;
+  double* py = px + w.rw;
+  sample_row(w, px, nullptr);
+  sample_col(w, py, nullptr);
+  return splat_rows(py, w.rh, a_sum(px, w.rw), area, grid, stride,
+                    [&](double a, double* row) { a_axpy(a, px, w.rw, row); });
+}
+
+void a_bell_gather(const BellWindow& w, double cv, const double* resid,
+                   std::size_t stride, double* scratch, double* gx,
+                   double* gy) {
+  double* px = scratch;
+  double* dpx = px + w.rw;
+  double* py = dpx + w.rw;
+  double* dpy = py + w.rh;
+  sample_row(w, px, dpx);
+  sample_col(w, py, dpy);
+  const std::size_t body = w.rw & ~std::size_t{3};
+  gather_rows(py, dpy, w.rh, cv, resid, stride, gx, gy,
+              [&](const double* row, double* ddx, double* ddy) {
+                // Both dots in one pass over the row: lanes of ax/ay are the
+                // tree's l0..l3; hadd + a 128-bit add forms (l0+l1)+(l2+l3)
+                // for both at once, the sequential tails go last.
+                __m256d ax = _mm256_setzero_pd(), ay = _mm256_setzero_pd();
+                for (std::size_t i = 0; i < body; i += 4) {
+                  const __m256d r = _mm256_loadu_pd(row + i);
+                  ax = _mm256_add_pd(ax, _mm256_mul_pd(r, _mm256_loadu_pd(dpx + i)));
+                  ay = _mm256_add_pd(ay, _mm256_mul_pd(r, _mm256_loadu_pd(px + i)));
+                }
+                const __m256d h = _mm256_hadd_pd(ax, ay);
+                const __m128d l = _mm_add_pd(_mm256_castpd256_pd128(h),
+                                             _mm256_extractf128_pd(h, 1));
+                *ddx = _mm_cvtsd_f64(l) + dot_tail(row, dpx, body, w.rw);
+                *ddy = _mm_cvtsd_f64(_mm_unpackhi_pd(l, l)) +
+                       dot_tail(row, px, body, w.rw);
+              });
+}
+
 constexpr Ops kAvx2Ops = {
     Level::Avx2,    a_affine,   a_exp_nonpos, a_neg,
     a_axpy,         a_axpy_out, a_cg_dir,     a_lse_grad,
-    a_wa_grad,      a_bell_row, a_bell_deriv_row,
+    a_wa_grad,      a_bell_splat, a_bell_gather,
     a_minmax,       a_sum,      a_dot,        a_abs_max,
     a_pr_num,
 };

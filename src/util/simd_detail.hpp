@@ -6,11 +6,14 @@
 // (see util/simd.hpp). Nothing here is public API; the one client outside
 // util/ is the wirelength chunk kernel (model/wirelength.cpp), which runs
 // the scalar level's 4-lane reductions inline on per-net pin ranges too
-// short to be worth a dispatched call.
+// short to be worth a dispatched call. The per-row bell samplers below are
+// also the density model's reference algorithm in the tests.
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+
+#include "util/simd.hpp"
 
 namespace rp::simd::detail {
 
@@ -234,6 +237,96 @@ inline void bell_deriv_row_range(double d0, double step, std::size_t b,
                                  double bb, double* out) {
   for (std::size_t i = b; i < n; ++i)
     out[i] = bell_deriv_one(d0 + static_cast<double>(i) * step, d1, d2, a, bb);
+}
+
+/// Bell samples at arbitrary points: out[k] = bell(c - at[k]).
+inline void bell_at_range(double c, const double* at, std::size_t b,
+                          std::size_t n, const BellShape& s, double* out) {
+  for (std::size_t k = b; k < n; ++k)
+    out[k] = bell_one(c - at[k], s.d1, s.d2, s.a, s.b);
+}
+
+inline void bell_deriv_at_range(double c, const double* at, std::size_t b,
+                                std::size_t n, const BellShape& s,
+                                double* out) {
+  for (std::size_t k = b; k < n; ++k)
+    out[k] = bell_deriv_one(c - at[k], s.d1, s.d2, s.a, s.b);
+}
+
+// ------------------------------------------------ per-node density bodies --
+// bell_splat / bell_gather (see Ops) for every level. The levels differ
+// only in how they sample and in the row kernels they pass in; the
+// sequential parts (s, cv, the per-row accumulation) are this code.
+
+/// bell_splat after sampling: add_row(a, row) must perform
+/// row[i] = row[i] + a*px[i] over the window width.
+template <typename AddRow>
+inline double splat_rows(const double* py, std::size_t rh, double row_sum,
+                         double area, double* grid, std::size_t stride,
+                         AddRow&& add_row) {
+  double s = 0.0;
+  for (std::size_t k = 0; k < rh; ++k) {
+    if (py[k] == 0.0) continue;
+    s += py[k] * row_sum;
+  }
+  if (s <= 0.0) return 0.0;
+  const double cv = area / s;
+  for (std::size_t k = 0; k < rh; ++k) {
+    if (py[k] == 0.0) continue;
+    add_row(cv * py[k], grid + k * stride);
+  }
+  return cv;
+}
+
+/// bell_gather after sampling: dots(row, &ddx, &ddy) must return
+/// dot(row, dpx) and dot(row, px) with the 4-lane tree.
+template <typename Dots>
+inline void gather_rows(const double* py, const double* dpy, std::size_t rh,
+                        double cv, const double* resid, std::size_t stride,
+                        double* gx, double* gy, Dots&& dots) {
+  const double c2 = 2.0 * cv;
+  double sx = 0.0, sy = 0.0;
+  for (std::size_t k = 0; k < rh; ++k) {
+    double ddx, ddy;
+    dots(resid + k * stride, &ddx, &ddy);
+    sx += (c2 * py[k]) * ddx;
+    sy += (c2 * dpy[k]) * ddy;
+  }
+  *gx = sx;
+  *gy = sy;
+}
+
+inline double bell_splat_lanes(const BellWindow& w, double area, double* grid,
+                               std::size_t stride, double* scratch) {
+  double* px = scratch;
+  double* py = px + w.rw;
+  bell_row_range(w.dx0, w.step, 0, w.rw, w.bx.d1, w.bx.d2, w.bx.a, w.bx.b,
+                 px);
+  bell_at_range(w.cy, w.yc, 0, w.rh, w.by, py);
+  return splat_rows(py, w.rh, sum_lanes(px, w.rw), area, grid, stride,
+                    [&](double a, double* row) {
+                      axpy_range(a, px, 0, w.rw, row);
+                    });
+}
+
+inline void bell_gather_lanes(const BellWindow& w, double cv,
+                              const double* resid, std::size_t stride,
+                              double* scratch, double* gx, double* gy) {
+  double* px = scratch;
+  double* dpx = px + w.rw;
+  double* py = dpx + w.rw;
+  double* dpy = py + w.rh;
+  bell_row_range(w.dx0, w.step, 0, w.rw, w.bx.d1, w.bx.d2, w.bx.a, w.bx.b,
+                 px);
+  bell_deriv_row_range(w.dx0, w.step, 0, w.rw, w.bx.d1, w.bx.d2, w.bx.a,
+                       w.bx.b, dpx);
+  bell_at_range(w.cy, w.yc, 0, w.rh, w.by, py);
+  bell_deriv_at_range(w.cy, w.yc, 0, w.rh, w.by, dpy);
+  gather_rows(py, dpy, w.rh, cv, resid, stride, gx, gy,
+              [&](const double* row, double* ddx, double* ddy) {
+                *ddx = dot_lanes(row, dpx, w.rw);
+                *ddy = dot_lanes(row, px, w.rw);
+              });
 }
 
 }  // namespace rp::simd::detail

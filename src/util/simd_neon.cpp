@@ -3,10 +3,11 @@
 // the high one, four elements consumed per iteration, lane combine
 // (l0+l1)+(l2+l3) with the sequential tail folded last — bit-for-bit the
 // scalar level's tree. The transcendental and piecewise kernels
-// (exp_nonpos, wa_grad, bell rows) run the shared scalar bodies from
-// simd_detail.hpp: they are element-wise, so scalar execution is already
-// bitwise identical, and a native port can land later without touching the
-// dispatch contract.
+// (exp_nonpos, wa_grad, and the per-node density kernels bell_splat and
+// bell_gather) run the shared scalar bodies from simd_detail.hpp: those
+// replay the scalar level's element-wise expressions and 4-lane trees, so
+// scalar execution is already bitwise identical, and a native port can land
+// later without touching the dispatch contract.
 
 #include "util/simd.hpp"
 #include "util/simd_detail.hpp"
@@ -82,16 +83,6 @@ void n_wa_grad(const double* c, const double* ep, const double* em,
                std::size_t n, double xmax, double xmin, double ig, double rsp,
                double rsm, double* dc) {
   wa_grad_range(c, ep, em, 0, n, xmax, xmin, ig, rsp, rsm, dc);
-}
-
-void n_bell_row(double d0, double step, std::size_t n, double d1, double d2,
-                double a, double b, double* out) {
-  bell_row_range(d0, step, 0, n, d1, d2, a, b, out);
-}
-
-void n_bell_deriv_row(double d0, double step, std::size_t n, double d1,
-                      double d2, double a, double b, double* out) {
-  bell_deriv_row_range(d0, step, 0, n, d1, d2, a, b, out);
 }
 
 void n_minmax(const double* x, std::size_t n, double* mn_out, double* mx_out) {
@@ -177,7 +168,7 @@ double n_pr_num(const double* g, const double* gp, std::size_t n) {
 constexpr Ops kNeonOps = {
     Level::Neon,    n_affine,   n_exp_nonpos, n_neg,
     n_axpy,         n_axpy_out, n_cg_dir,     n_lse_grad,
-    n_wa_grad,      n_bell_row, n_bell_deriv_row,
+    n_wa_grad,      bell_splat_lanes, bell_gather_lanes,
     n_minmax,       n_sum,      n_dot,        n_abs_max,
     n_pr_num,
 };

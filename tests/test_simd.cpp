@@ -5,6 +5,10 @@
 //    dispatch level (scalar vs AVX2/NEON when the host has them);
 //  * wirelength/density evaluations are identical for RP_SIMD off vs auto,
 //    at any thread count;
+//  * the per-node density kernels reproduce the per-row reference
+//    evaluation bit for bit on non-square grids, windows clipped at the die
+//    edges and macros many bins wide, and the density bits stay pinned to
+//    the reference values;
 //  * IncrementalEval's trial_move/trial_swap match mutate-and-measure
 //    exactly, and a long committed-move session never drifts from
 //    Design::hpwl();
@@ -32,6 +36,7 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "util/simd_detail.hpp"
 
 namespace rp {
 namespace {
@@ -113,14 +118,98 @@ TEST(SimdOps, VectorTableMatchesScalarBitwise) {
       vt->wa_grad(y.data(), ep.data(), em.data(), n, 40.0, -40.0, 0.25, 0.3,
                   0.7, b.data());
       EXPECT_EQ(a, b);
-
-      sc.bell_row(-3.0, 0.37, n, 1.0, 2.0, 0.5, 0.25, a.data());
-      vt->bell_row(-3.0, 0.37, n, 1.0, 2.0, 0.5, 0.25, b.data());
-      EXPECT_EQ(a, b);
-      sc.bell_deriv_row(-3.0, 0.37, n, 1.0, 2.0, 0.5, 0.25, a.data());
-      vt->bell_deriv_row(-3.0, 0.37, n, 1.0, 2.0, 0.5, 0.25, b.data());
-      EXPECT_EQ(a, b);
     }
+  }
+  if (!any) GTEST_SKIP() << "host has no vector unit compiled in";
+}
+
+/// Bits of the three results of a per-node density kernel call: pass 1's
+/// returned cv and the grid it wrote, pass 2's two gradient sums.
+struct BellKernelBits {
+  std::uint64_t cv = 0, gx = 0, gy = 0;
+  std::vector<std::uint64_t> grid;
+  bool operator==(const BellKernelBits&) const = default;
+};
+
+BellKernelBits run_bell_kernels(const simd::Ops& ops, const simd::BellWindow& w,
+                                double area, std::vector<double> grid,
+                                const std::vector<double>& resid,
+                                std::size_t stride) {
+  std::vector<double> scratch(2 * (w.rw + w.rh));
+  BellKernelBits r;
+  r.cv = std::bit_cast<std::uint64_t>(
+      ops.bell_splat(w, area, grid.data(), stride, scratch.data()));
+  for (const double v : grid) r.grid.push_back(std::bit_cast<std::uint64_t>(v));
+  double gx = 0.0, gy = 0.0;
+  ops.bell_gather(w, 0.75, resid.data(), stride, scratch.data(), &gx, &gy);
+  r.gx = std::bit_cast<std::uint64_t>(gx);
+  r.gy = std::bit_cast<std::uint64_t>(gy);
+  return r;
+}
+
+/// A node of width w and height h centred at (cx, cy) in a window of rw×rh
+/// unit-pitch bins (centres at i + 0.5) — the sample points the density
+/// model feeds the kernels, with rows beyond the support (py == 0) at both
+/// ends once the window is wider than the bell.
+simd::BellWindow unit_window(double w, double h, double cx, double cy,
+                             std::size_t rw, std::size_t rh,
+                             const std::vector<double>& yc) {
+  const auto shape = [](double len) {
+    const double d1 = len / 2 + 1.0, d2 = len / 2 + 2.0;
+    return simd::BellShape{d1, d2, 1.0 / (d1 * d2), 1.0 / (1.0 * d2)};
+  };
+  return {shape(w), shape(h), cx - 0.5, -1.0, rw, cy, yc.data(), rh};
+}
+
+TEST(SimdOps, DensityKernelsMatchScalarBitwise) {
+  const simd::Ops& sc = simd::scalar_ops();
+  const simd::Ops* tables[] = {simd::avx2_ops(), simd::neon_ops()};
+  Rng rng(11);
+  bool any = false;
+  for (const simd::Ops* vt : tables) {
+    if (vt == nullptr) continue;
+    any = true;
+    // Every window shape a standard cell or a small macro produces, plus
+    // the old row kernels' sizes along each axis.
+    std::vector<std::pair<std::size_t, std::size_t>> shapes;
+    for (std::size_t rw = 1; rw <= 13; ++rw)
+      for (std::size_t rh = 1; rh <= 13; ++rh) shapes.emplace_back(rw, rh);
+    for (const std::size_t n : {31u, 64u, 1000u, 1023u}) {
+      shapes.emplace_back(n, 3);
+      shapes.emplace_back(5, n);
+    }
+    for (const auto& [rw, rh] : shapes) {
+      const std::size_t stride = rw + 3;
+      std::vector<double> yc(rh);
+      for (std::size_t k = 0; k < rh; ++k) yc[k] = static_cast<double>(k) + 0.5;
+      const auto grid = random_vec(stride * rh, rng, 0.0, 4.0);
+      const auto resid = random_vec(stride * rh, rng, 0.0, 2.0);
+      const double w = rng.uniform(0.0, static_cast<double>(rw));
+      const double h = rng.uniform(0.0, static_cast<double>(rh));
+      const double cx = rng.uniform(0.0, static_cast<double>(rw));
+      const double cy = rng.uniform(0.0, static_cast<double>(rh));
+      const simd::BellWindow windows[] = {
+          unit_window(w, h, cx, cy, rw, rh, yc),
+          // cy exactly d2 away from row 0's centre: py[0] is the support
+          // edge, exactly 0 inside the d1 < |d| <= d2 branch.
+          unit_window(w, 2.0, cx, yc[0] + 3.0, rw, rh, yc),
+          // Every x sample beyond the support: s == 0, nothing written.
+          unit_window(w, h, cx + static_cast<double>(rw) + w + 3.0, cy, rw, rh, yc),
+      };
+      for (const simd::BellWindow& win : windows)
+        EXPECT_EQ(run_bell_kernels(sc, win, 2.5, grid, resid, stride),
+                  run_bell_kernels(*vt, win, 2.5, grid, resid, stride))
+            << simd::level_name(vt->level) << " rw=" << rw << " rh=" << rh
+            << " cy=" << win.cy << " dx0=" << win.dx0;
+    }
+    // The off-support window leaves the grid untouched and returns 0.
+    std::vector<double> yc{0.5, 1.5, 2.5};
+    const auto grid = random_vec(12, rng, 0.0, 1.0);
+    const BellKernelBits off = run_bell_kernels(
+        *vt, unit_window(1.0, 1.0, 20.0, 1.5, 4, 3, yc), 1.0, grid, grid, 4);
+    EXPECT_EQ(off.cv, 0u);
+    for (std::size_t i = 0; i < grid.size(); ++i)
+      EXPECT_EQ(off.grid[i], std::bit_cast<std::uint64_t>(grid[i]));
   }
   if (!any) GTEST_SKIP() << "host has no vector unit compiled in";
 }
@@ -218,6 +307,259 @@ TEST(SimdModels, WirelengthBitsPinned) {
           << level << " t=" << threads;
       EXPECT_EQ(wirelength_hash(*make_wirelength_model("LSE", 4.0), p), 0x7d95d82099e614f7ULL)
           << level << " t=" << threads;
+    }
+  }
+}
+
+// ------------------------------------------- pinned density results
+
+/// Hash of one density eval: the penalty, then the accumulated gradient.
+std::uint64_t density_hash(DensityModel& dm, const PlaceProblem& p) {
+  BitHash hash;
+  std::vector<double> gx(p.nodes.size(), 0.0), gy(p.nodes.size(), 0.0);
+  hash.add(dm.eval(p, gx, gy));
+  for (const double v : gx) hash.add(v);
+  for (const double v : gy) hash.add(v);
+  return hash.h;
+}
+
+/// Hash of the exact rasterized density grid and the overflow built on it.
+std::uint64_t raster_hash(const DensityModel& dm, const PlaceProblem& p) {
+  BitHash hash;
+  const Grid2D<double> g = dm.rasterized_density(p);
+  for (const double v : g.data()) hash.add(v);
+  hash.add(dm.overflow(p));
+  return hash.h;
+}
+
+/// The start placement with its movable nodes pulled into a clump around
+/// the die centre (so bins overflow and residuals are non-zero), every
+/// node's inflation != 1, and the first movable node pushed off the die
+/// so its bell misses every bin of its window (the s <= 0 path).
+PlaceProblem clumped_problem(const PlaceProblem& start) {
+  PlaceProblem p = start;
+  const double mx = (p.die.lx + p.die.hx) / 2, my = (p.die.ly + p.die.hy) / 2;
+  bool pushed = false;
+  for (std::size_t v = 0; v < p.nodes.size(); ++v) {
+    if (p.nodes[v].fixed) continue;
+    p.x[v] = mx + (p.x[v] - mx) * 0.3;
+    p.y[v] = my + (p.y[v] - my) * 0.3;
+    p.inflate[v] = 1.0 + 0.25 * static_cast<double>(v % 4);
+    if (!pushed) {
+      p.x[v] = p.die.hx + 3 * p.die.width();
+      pushed = true;
+    }
+  }
+  return p;
+}
+
+/// Capacity scale derating every third bin diagonal to half.
+Grid2D<double> striped_scale(const DensityModel& dm) {
+  Grid2D<double> scale(dm.grid().nx(), dm.grid().ny(), 1.0);
+  for (int iy = 0; iy < scale.ny(); ++iy)
+    for (int ix = 0; ix < scale.nx(); ++ix)
+      if ((ix + iy) % 3 == 0) scale(ix, iy) = 0.5;
+  return scale;
+}
+
+TEST(SimdModels, DensityBitsPinned) {
+  // The constants are the bits the per-row evaluation (one dispatched axpy
+  // per bin row in pass 1, two dispatched dots per row in pass 2, as
+  // reference_density below replays it) produced: a kernel rewrite must
+  // reproduce the penalty, every gradient and the rasterized grid, at every
+  // dispatch level and thread count.
+  DispatchGuard guard;
+  Logger::set_level(LogLevel::Warn);
+  const Design d = generate_benchmark(small_spec(42));
+  const PlaceProblem start = make_problem(d);
+  const PlaceProblem clumped = clumped_problem(start);
+  for (const char* level : {"off", "auto"}) {
+    for (const int threads : {1, 4}) {
+      simd::set_from_string(level);
+      parallel::set_num_threads(threads);
+      DensityModel dm(start, DensityConfig{});
+      EXPECT_EQ(density_hash(dm, start), 0x642c92803a7fd681ULL) << level << " t=" << threads;
+      EXPECT_EQ(raster_hash(dm, start), 0xb70397e4953ac279ULL) << level << " t=" << threads;
+      dm.apply_capacity_scale(striped_scale(dm));
+      EXPECT_EQ(density_hash(dm, clumped), 0x194a079d35f5518eULL) << level << " t=" << threads;
+      EXPECT_EQ(raster_hash(dm, clumped), 0x63f17fb5a530e082ULL) << level << " t=" << threads;
+    }
+  }
+}
+
+// ------------------------------------------ density kernel edge cases
+
+/// The per-row density evaluation, written out from the scalar bodies in
+/// util/simd_detail.hpp: per node, the x-bell sampled into a row buffer, the
+/// y-bell evaluated twice per bin row in pass 1 and once per row (value and
+/// derivative) in pass 2, one axpy per row in pass 1 and two dots per row
+/// in pass 2; per-bin reduction over node chunks in ascending order, then
+/// residuals and a penalty summed per bin chunk. Returns the bits of the
+/// penalty and of the gradient accumulated from zero.
+std::vector<std::uint64_t> reference_density(const DensityModel& dm,
+                                             const PlaceProblem& p) {
+  using namespace simd::detail;
+  const GridMap& grid = dm.grid();
+  const int nx = grid.nx(), ny = grid.ny();
+  const double bw = grid.bin_w(), bh = grid.bin_h();
+  std::vector<double> xc(static_cast<std::size_t>(nx)), yc(static_cast<std::size_t>(ny));
+  for (int ix = 0; ix < nx; ++ix) xc[static_cast<std::size_t>(ix)] = grid.bin_center(ix, 0).x;
+  for (int iy = 0; iy < ny; ++iy) yc[static_cast<std::size_t>(iy)] = grid.bin_center(0, iy).y;
+  struct Window {
+    simd::BellShape bx, by;
+    int ix0, ix1, iy0, iy1;
+  };
+  const auto window = [&](std::size_t uv) {
+    const auto shape = [](double len, double bin) {
+      const double d1 = len / 2 + bin, d2 = len / 2 + 2 * bin;
+      return simd::BellShape{d1, d2, 1.0 / (d1 * d2), 1.0 / (bin * d2)};
+    };
+    Window w{shape(p.nodes[uv].w, bw), shape(p.nodes[uv].h, bh), 0, 0, 0, 0};
+    w.ix0 = std::max(0, grid.ix_of(p.x[uv] - w.bx.d2) - 1);
+    w.ix1 = std::min(nx - 1, grid.ix_of(p.x[uv] + w.bx.d2) + 1);
+    w.iy0 = std::max(0, grid.iy_of(p.y[uv] - w.by.d2) - 1);
+    w.iy1 = std::min(ny - 1, grid.iy_of(p.y[uv] + w.by.d2) + 1);
+    return w;
+  };
+  const auto nn = p.nodes.size();
+  std::vector<double> csum(nn, 0.0), px(static_cast<std::size_t>(nx)),
+      dpx(static_cast<std::size_t>(nx));
+
+  const parallel::ChunkPlan plan = parallel::plan_chunks(
+      nn, DensityModel::kNodeGrain, DensityModel::kGridChunkCap);
+  std::vector<Grid2D<double>> chunk(static_cast<std::size_t>(plan.count),
+                                    Grid2D<double>(nx, ny, 0.0));
+  for (int ci = 0; ci < plan.count; ++ci) {
+    for (std::size_t uv = plan.begin(ci); uv < plan.end(ci); ++uv) {
+      if (p.nodes[uv].fixed) continue;
+      const Window w = window(uv);
+      const auto rw = static_cast<std::size_t>(w.ix1 - w.ix0 + 1);
+      bell_row_range(p.x[uv] - xc[static_cast<std::size_t>(w.ix0)], -bw, 0, rw,
+                     w.bx.d1, w.bx.d2, w.bx.a, w.bx.b, px.data());
+      const double row_sum = sum_lanes(px.data(), rw);
+      const auto py_at = [&](int iy) {
+        return bell_one(p.y[uv] - yc[static_cast<std::size_t>(iy)], w.by.d1,
+                        w.by.d2, w.by.a, w.by.b);
+      };
+      double s = 0.0;
+      for (int iy = w.iy0; iy <= w.iy1; ++iy)
+        if (py_at(iy) != 0.0) s += py_at(iy) * row_sum;
+      if (s <= 0.0) continue;
+      const double cv = p.nodes[uv].area() * p.inflate[uv] / s;
+      csum[uv] = cv;
+      for (int iy = w.iy0; iy <= w.iy1; ++iy)
+        if (py_at(iy) != 0.0)
+          axpy_range(cv * py_at(iy), px.data(), 0, rw,
+                     &chunk[static_cast<std::size_t>(ci)](w.ix0, iy));
+    }
+  }
+
+  Grid2D<double> resid(nx, ny, 0.0);
+  const parallel::ChunkPlan bin_plan =
+      parallel::plan_chunks(resid.size(), DensityModel::kBinGrain);
+  double penalty = 0.0;
+  for (int k = 0; k < bin_plan.count; ++k) {
+    double part = 0.0;
+    for (std::size_t i = bin_plan.begin(k); i < bin_plan.end(k); ++i) {
+      double d = 0.0;
+      for (const Grid2D<double>& g : chunk) d += g.data()[i];
+      const double r = std::max(0.0, d - dm.capacity().data()[i]);
+      resid.data()[i] = r;
+      part += r * r;
+    }
+    penalty += part;
+  }
+
+  std::vector<double> gx(nn, 0.0), gy(nn, 0.0);
+  for (std::size_t uv = 0; uv < nn; ++uv) {
+    if (p.nodes[uv].fixed || csum[uv] == 0.0) continue;
+    const Window w = window(uv);
+    const auto rw = static_cast<std::size_t>(w.ix1 - w.ix0 + 1);
+    const double d0 = p.x[uv] - xc[static_cast<std::size_t>(w.ix0)];
+    bell_row_range(d0, -bw, 0, rw, w.bx.d1, w.bx.d2, w.bx.a, w.bx.b, px.data());
+    bell_deriv_row_range(d0, -bw, 0, rw, w.bx.d1, w.bx.d2, w.bx.a, w.bx.b, dpx.data());
+    double dgx = 0.0, dgy = 0.0;
+    for (int iy = w.iy0; iy <= w.iy1; ++iy) {
+      const double dy = p.y[uv] - yc[static_cast<std::size_t>(iy)];
+      const double py = bell_one(dy, w.by.d1, w.by.d2, w.by.a, w.by.b);
+      const double dpy = bell_deriv_one(dy, w.by.d1, w.by.d2, w.by.a, w.by.b);
+      const double* row = &resid(w.ix0, iy);
+      dgx += ((2.0 * csum[uv]) * py) * dot_lanes(row, dpx.data(), rw);
+      dgy += ((2.0 * csum[uv]) * dpy) * dot_lanes(row, px.data(), rw);
+    }
+    gx[uv] += dgx;
+    gy[uv] += dgy;
+  }
+  std::vector<std::uint64_t> bits{std::bit_cast<std::uint64_t>(penalty)};
+  for (const double v : gx) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  for (const double v : gy) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+/// A problem aimed at the per-node density kernels on a non-square die:
+/// standard cells clumped off-centre (so many bins overflow), cells pinned
+/// at all four die edges and corners (windows clipped by the grid), movable
+/// macros and slabs far wider or taller than 8 bins, fixed blockages,
+/// inflation != 1, and enough nodes for several pass-1 chunks.
+PlaceProblem density_edge_problem() {
+  Rng rng(23);
+  PlaceProblem p;
+  p.die = {0, 0, 1600, 900};
+  const auto add = [&](double w, double h, double x, double y, bool fixed) {
+    PlaceNode nd;
+    nd.w = w;
+    nd.h = h;
+    nd.fixed = fixed;
+    p.nodes.push_back(nd);
+    p.x.push_back(x);
+    p.y.push_back(y);
+    p.inflate.push_back(fixed ? 1.0 : rng.uniform(0.8, 1.6));
+  };
+  for (int v = 0; v < 1400; ++v) {
+    const double w = rng.uniform(2, 14), h = 9;
+    switch (v % 10) {
+      case 0: add(w, h, 0, rng.uniform(0, 900), false); break;     // left edge
+      case 1: add(w, h, 1600, rng.uniform(0, 900), false); break;  // right edge
+      case 2: add(w, h, rng.uniform(0, 1600), 0, false); break;    // bottom
+      case 3: add(w, h, rng.uniform(0, 1600), 900, false); break;  // top
+      default: add(w, h, rng.uniform(300, 700), rng.uniform(200, 500), false);
+    }
+  }
+  add(40, 40, 0, 0, false);       // corners
+  add(40, 40, 1600, 900, false);
+  add(700, 120, 800, 450, false);  // wide macros / slabs
+  add(520, 60, 400, 880, false);
+  add(90, 600, 1550, 400, false);  // a tall one
+  add(200, 200, 1200, 300, true);  // blockages
+  add(150, 80, 300, 700, true);
+  p.clamp_to_die();
+  p.validate();
+  return p;
+}
+
+TEST(SimdModels, DensityKernelMatchesPerRowReferenceBitwise) {
+  DispatchGuard guard;
+  const PlaceProblem p = density_edge_problem();
+  ASSERT_GT(parallel::plan_chunks(p.nodes.size(), DensityModel::kNodeGrain,
+                                  DensityModel::kGridChunkCap).count, 4);
+  for (const auto& [nx, ny] : {std::pair{64, 16}, std::pair{16, 64}, std::pair{32, 32}}) {
+    DensityConfig cfg;
+    cfg.nx = nx;
+    cfg.ny = ny;
+    DensityModel dm(p, cfg);
+    dm.apply_capacity_scale(striped_scale(dm));
+    const std::vector<std::uint64_t> want = reference_density(dm, p);
+    ASSERT_GT(std::bit_cast<double>(want[0]), 0.0) << "no bin overflows";
+    for (const char* level : {"off", "auto"}) {
+      for (const int threads : {1, 2, 4}) {
+        simd::set_from_string(level);
+        parallel::set_num_threads(threads);
+        std::vector<double> gx(p.nodes.size(), 0.0), gy(p.nodes.size(), 0.0);
+        std::vector<std::uint64_t> got{std::bit_cast<std::uint64_t>(dm.eval(p, gx, gy))};
+        for (const double v : gx) got.push_back(std::bit_cast<std::uint64_t>(v));
+        for (const double v : gy) got.push_back(std::bit_cast<std::uint64_t>(v));
+        EXPECT_EQ(want, got) << nx << "x" << ny << " " << level << " t=" << threads;
+      }
     }
   }
 }
