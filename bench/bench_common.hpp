@@ -21,6 +21,8 @@
 #include "core/run_report.hpp"
 #include "gen/generator.hpp"
 #include "util/logger.hpp"
+#include "util/obs_context.hpp"
+#include "util/parallel.hpp"
 #include "util/profiler.hpp"
 
 namespace rp::bench {
@@ -62,7 +64,9 @@ inline void maybe_emit_report(const BenchmarkSpec& spec, const FlowRun& run,
   }
   out << run_report_json(meta, opt, run.result, /*indent=*/0) << "\n";
   // With RP_PROFILE on, also append one profile_region row per region so
-  // bench_trend.py tracks kernel latency quantiles alongside flow metrics.
+  // bench_trend.py tracks kernel latency quantiles alongside flow metrics;
+  // the regions are the run's own, in its context.
+  obs::ScopedBind bind(run.result.obs.get());
   out << profiler::region_jsonl_rows(run.bench, run.flow);
 }
 
@@ -71,6 +75,7 @@ inline FlowRun run_flow(const BenchmarkSpec& spec, const std::string& flow_name,
                         const FlowOptions& opt) {
   // Opt-in profiling for bench runs (the CLI path does this in run_cli).
   if (profiler::env_requested() && !profiler::enabled()) profiler::set_enabled(true);
+  parallel::reset_pool_profile();  // the pool profile is process-wide; count this run only
   Design d = generate_benchmark(spec);
   PlacementFlow flow(opt);
   FlowRun r;

@@ -7,7 +7,7 @@
 #  2. Build the Bookshelf fuzzer under ASan/UBSan and run the seeded mutation
 #     corpus, so parser robustness bugs (overflows, OOB reads on truncated
 #     records) fail loudly instead of silently corrupting the Design; the
-#     SIMD, model, route, DP and serve suites run under the same build.
+#     SIMD, model, route and DP suites run under the same build.
 #
 # Usage: scripts/tsan_check.sh [build-dir] [asan-build-dir]
 #        (defaults: build-tsan build-asan)
@@ -22,16 +22,17 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRP_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target test_parallel test_model test_solver test_route test_simd test_serve
+  --target test_parallel test_model test_solver test_route test_simd test_obs
 
 # TSan findings must fail the run, not just print.
 export TSAN_OPTIONS="halt_on_error=1:${TSAN_OPTIONS:-}"
 # Force a real multi-worker pool even on small CI boxes.
 export RP_THREADS="${RP_THREADS:-4}"
 
-# test_serve runs genuinely concurrent placement jobs (the rp_serve worker
-# pool) — the one suite where flows race each other, not just pool workers.
-for t in test_parallel test_model test_solver test_route test_simd test_serve; do
+# test_obs runs two whole placement flows at once on separate observability
+# contexts (ConcurrentRunsOnSeparateContextsMatchFreshBaseline) — the one
+# suite where flows race each other, not just pool workers.
+for t in test_parallel test_model test_solver test_route test_simd test_obs; do
   echo "== TSan: $t (RP_THREADS=$RP_THREADS) =="
   "$BUILD_DIR/tests/$t"
 done
@@ -43,7 +44,7 @@ cmake -B "$ASAN_BUILD_DIR" -S . \
   -DRP_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" \
   --target rp_fuzz_bookshelf test_robustness test_simd test_model test_route \
-           test_dp test_serve
+           test_dp
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=0:${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:${UBSAN_OPTIONS:-}"
@@ -64,10 +65,6 @@ echo "== ASan/UBSan: test_route =="
 "$ASAN_BUILD_DIR/tests/test_route"
 echo "== ASan/UBSan: test_dp =="
 "$ASAN_BUILD_DIR/tests/test_dp"
-# The rp_serve protocol parser chews hostile wire input; run its suite (which
-# includes the garbage-slinging tests) with memory checking on.
-echo "== ASan/UBSan: test_serve =="
-"$ASAN_BUILD_DIR/tests/test_serve"
 echo "== ASan/UBSan: rp_fuzz_bookshelf ($FUZZ_SEEDS seeds) =="
 python3 scripts/fuzz_smoke.py "$ASAN_BUILD_DIR/src/core/rp_fuzz_bookshelf" \
   --seeds "$FUZZ_SEEDS"

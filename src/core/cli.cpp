@@ -1,7 +1,9 @@
 #include "core/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "core/run_report.hpp"
@@ -125,22 +127,37 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
       throw std::runtime_error("option '" + opt + "' needs a value");
     return args[i + 1];
   };
+  // Numeric values: an int option rejects what an int cannot hold (rather
+  // than wrapping it), a real option rejects nan/inf (which slip through
+  // every range check below).
+  const auto int_value = [&](std::size_t i, const std::string& opt) {
+    const long v = to_long(need_value(i, opt));
+    if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
+      throw std::runtime_error("option '" + opt + "' value out of range");
+    return static_cast<int>(v);
+  };
+  const auto real_value = [&](std::size_t i, const std::string& opt) {
+    const double v = to_double(need_value(i, opt));
+    if (!std::isfinite(v))
+      throw std::runtime_error("option '" + opt + "' needs a finite value");
+    return v;
+  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--aux") cfg.aux = need_value(i++, a);
     else if (a == "--out") cfg.out_pl = need_value(i++, a);
     else if (a == "--mode") cfg.mode = need_value(i++, a);
     else if (a == "--legalizer") cfg.legalizer = need_value(i++, a);
-    else if (a == "--gen") cfg.gen_cells = static_cast<int>(to_long(need_value(i++, a)));
+    else if (a == "--gen") cfg.gen_cells = int_value(i++, a);
     else if (a == "--seed") cfg.seed = static_cast<std::uint64_t>(to_long(need_value(i++, a)));
-    else if (a == "--supply") cfg.track_supply = to_double(need_value(i++, a));
-    else if (a == "--density") cfg.target_density = to_double(need_value(i++, a));
-    else if (a == "--rounds") cfg.routability_rounds = static_cast<int>(to_long(need_value(i++, a)));
+    else if (a == "--supply") cfg.track_supply = real_value(i++, a);
+    else if (a == "--density") cfg.target_density = real_value(i++, a);
+    else if (a == "--rounds") cfg.routability_rounds = int_value(i++, a);
     else if (a == "--wl-model") cfg.wl_model = need_value(i++, a);
-    else if (a == "--inflate-rate") cfg.inflate_rate = to_double(need_value(i++, a));
+    else if (a == "--inflate-rate") cfg.inflate_rate = real_value(i++, a);
     else if (a == "--sample-resources")
-      cfg.sample_resources_ms = static_cast<int>(to_long(need_value(i++, a)));
-    else if (a == "--threads") cfg.threads = static_cast<int>(to_long(need_value(i++, a)));
+      cfg.sample_resources_ms = int_value(i++, a);
+    else if (a == "--threads") cfg.threads = int_value(i++, a);
     else if (a == "--simd") cfg.simd = need_value(i++, a);
     else if (a == "--incremental-eval") {
       const std::string v = need_value(i++, a);
@@ -151,8 +168,8 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
     else if (a == "--strict") cfg.lenient = false;
     else if (a == "--lenient") cfg.lenient = true;
     else if (a == "--max-gp-iters")
-      cfg.max_gp_iters = static_cast<int>(to_long(need_value(i++, a)));
-    else if (a == "--max-seconds") cfg.max_seconds = to_double(need_value(i++, a));
+      cfg.max_gp_iters = int_value(i++, a);
+    else if (a == "--max-seconds") cfg.max_seconds = real_value(i++, a);
     else if (a == "--skip-dp") cfg.skip_dp = true;
     else if (a == "--profile") cfg.profile = true;
     else if (a == "--report-json") cfg.report_json = need_value(i++, a);
@@ -161,13 +178,17 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
     else if (a == "--flight-json") cfg.flight_json = need_value(i++, a);
     else if (a == "--snapshot-dir") cfg.snapshot_dir = need_value(i++, a);
     else if (a == "--snapshot-every")
-      cfg.snapshot_every = static_cast<int>(to_long(need_value(i++, a)));
+      cfg.snapshot_every = int_value(i++, a);
     else if (a == "--snapshot-svg") cfg.snapshot_svg = true;
     else if (a == "--map") cfg.show_map = true;
     else if (a == "--verbose") cfg.verbose = true;
     else if (a == "--help" || a == "-h") cfg.help = true;
     else throw std::runtime_error("unknown option '" + a + "' (see --help)");
   }
+  if (cfg.gen_cells <= 0)
+    throw std::runtime_error("--gen must be >= 1");
+  if (cfg.track_supply <= 0)
+    throw std::runtime_error("--supply must be > 0");
   if (cfg.mode != "routability" && cfg.mode != "wirelength")
     throw std::runtime_error("--mode must be 'routability' or 'wirelength'");
   if (cfg.legalizer != "abacus" && cfg.legalizer != "tetris")
@@ -308,9 +329,10 @@ int run_cli(const CliConfig& cfg) {
       telemetry::write_trace_json(cfg.trace_json);
     }
     dump_flight(e.code_name());
+    FlowResult failed;
+    failed.obs = obs_ctx;  // the report still reads the run's counters
     if (!cfg.report_json.empty() &&
-        write_run_report(cfg.report_json, meta, fopt, FlowResult{},
-                         RunErrorInfo::from(e)))
+        write_run_report(cfg.report_json, meta, fopt, failed, RunErrorInfo::from(e)))
       RP_INFO("run report written to '%s'", cfg.report_json.c_str());
     RP_ERROR("%s", e.what());
     return e.exit_code();

@@ -8,25 +8,27 @@
 #include "util/error.hpp"
 #include "util/logger.hpp"
 #include "util/obs_context.hpp"
-#include "util/profiler.hpp"
 #include "util/telemetry.hpp"
 
 namespace rp {
 
 namespace {
 
-/// Run a stage body bracketed by StageBegin/StageEnd events, polling the
-/// interrupt flag at entry (a stage boundary is always a safe cancellation
+/// Run one flow stage: StageBegin/StageEnd events around a body timed under
+/// `stage` in `times` and traced as a span of the same name. The interrupt
+/// flag is polled at entry (a stage boundary is always a safe cancellation
 /// point). An escaping rp::Error that does not yet know its stage gets
 /// annotated with this stage's name (throw sites deep in a kernel often
 /// cannot know which flow stage invoked them); an error leaves the stage
 /// UNCLOSED in the event stream — the terminal error event explains why.
 template <typename Fn>
-void with_stage(const char* stage, Fn&& fn) {
+void with_stage(const char* stage, StageTimes& times, Fn&& fn) {
   obs::check_interrupt();
   obs::EventBus& bus = obs::events();
   bus.emit(bus.make(obs::EventKind::StageBegin, stage));
   try {
+    ScopedStage t(times, stage);
+    RP_TRACE_SPAN(stage);
     fn();
   } catch (Error& e) {
     e.set_stage(stage);
@@ -53,19 +55,10 @@ FlowOptions wirelength_driven_options() {
 
 FlowResult PlacementFlow::run(Design& d) {
   FlowResult r;
-  // Observability: with an explicit per-run context, bind it for the run's
-  // duration and keep whatever the caller accumulated (parse counters,
-  // events). Without one, keep the historical contract: reset the current
-  // context so a run's report reflects that run only (bench binaries run
-  // many flows per process).
-  std::optional<obs::ScopedBind> obs_bind;
-  if (opt_.obs != nullptr) {
-    obs_bind.emplace(opt_.obs.get());
-    r.obs = opt_.obs;
-  } else {
-    telemetry::Registry::instance().reset();
-    profiler::reset_all();
-  }
+  // The run observes into the caller's context, or a fresh one of its own,
+  // bound for the run's duration and handed back in r.obs.
+  r.obs = opt_.obs != nullptr ? opt_.obs : std::make_shared<obs::ObsContext>();
+  obs::ScopedBind obs_bind(r.obs.get());
   {
     obs::EventBus& bus = obs::events();
     obs::Event e = bus.make(obs::EventKind::RunBegin, d.name().c_str());
@@ -82,9 +75,7 @@ FlowResult PlacementFlow::run(Design& d) {
     if (!snap->ok()) snap.reset();  // unwritable dir: run without snapshots
   }
 
-  with_stage("global", [&] {
-    ScopedStage t(r.times, "global");
-    RP_TRACE_SPAN("global");
+  with_stage("global", r.times, [&] {
     GpOptions gpo = opt_.gp;
     gpo.snapshot = snap.get();
     GlobalPlacer gp(gpo);
@@ -100,17 +91,13 @@ FlowResult PlacementFlow::run(Design& d) {
     for (CellId c = 0; c < d.num_cells(); ++c) gp_pos.push_back(d.cell_center(c));
   }
 
-  with_stage("macro_legal", [&] {
-    ScopedStage t(r.times, "macro_legal");
-    RP_TRACE_SPAN("macro_legal");
+  with_stage("macro_legal", r.times, [&] {
     r.macro_legal = legalize_macros(d, opt_.macro_legal);
     freeze_macros(d);
     RP_COUNT("legal.macros", r.macro_legal.macros);
   });
 
-  with_stage("legal", [&] {
-    ScopedStage t(r.times, "legal");
-    RP_TRACE_SPAN("legal");
+  with_stage("legal", r.times, [&] {
     LegalizeStats ls;
     if (opt_.legalizer == "abacus") {
       AbacusLegalizer lg(opt_.legal);
@@ -129,45 +116,30 @@ FlowResult PlacementFlow::run(Design& d) {
             opt_.legalizer.c_str(), ls.cells, ls.avg_disp(), ls.max_disp, ls.failed);
   });
 
-  if (!opt_.skip_dp) with_stage("detailed", [&] {
-    ScopedStage t(r.times, "detailed");
-    RP_TRACE_SPAN("detailed");
+  if (!opt_.skip_dp) with_stage("detailed", r.times, [&] {
     DetailedPlaceOptions dpo = opt_.dp;
-    DetailedPlacer dp(dpo);
+    std::optional<RoutingGrid> rg;
     if (opt_.congestion_aware_dp) {
       // Feed the DP the post-GP congestion picture.
-      RoutingGrid rg(d, true);
+      rg.emplace(d, true);
       {
         ScopedStage te(r.times, "estimate");
         RP_TRACE_SPAN("detailed/estimate");
-        if (opt_.design_csr != nullptr) {
-          // Cached flatten (rp_serve): copy the topology template instead of
-          // rebuilding it; the estimator gathers coordinates per eval, so
-          // the result is byte-identical to the from-scratch path.
-          NetlistCsr csr = *opt_.design_csr;
-          estimate_probabilistic(d, csr, rg);
-        } else {
-          estimate_probabilistic(d, rg);
-        }
+        estimate_probabilistic(d, *rg);
       }
-      double w = opt_.dp_congestion_weight;
-      if (w <= 0.0) w = 2.0 * d.row_height();
-      dpo.congestion_weight = w;
-      DetailedPlacer dp2(dpo);
-      dp2.set_congestion(rg.map(), rg.tile_congestion());
-      r.dp = dp2.run(d);
-    } else {
-      r.dp = dp.run(d);
+      dpo.congestion_weight = opt_.dp_congestion_weight > 0.0 ? opt_.dp_congestion_weight
+                                                              : 2.0 * d.row_height();
     }
+    DetailedPlacer dp(dpo);
+    if (rg) dp.set_congestion(rg->map(), rg->tile_congestion());
+    r.dp = dp.run(d);
     RP_INFO("detailed placement: hpwl %.4e -> %.4e (%.2f%%), %ld swaps, %ld moves, "
             "%ld reorders, %ld ism",
             r.dp.hpwl_before, r.dp.hpwl_after, 100.0 * r.dp.improvement(), r.dp.swaps,
             r.dp.relocations, r.dp.reorders, r.dp.ism_moves);
   });
 
-  if (!opt_.skip_eval) with_stage("eval", [&] {
-    ScopedStage t(r.times, "eval");
-    RP_TRACE_SPAN("eval");
+  if (!opt_.skip_eval) with_stage("eval", r.times, [&] {
     if (snap) {
       // Route on a grid we keep, so the ROUTED (not just estimated)
       // congestion picture lands in the snapshot.

@@ -20,7 +20,6 @@
 #include "core/report.hpp"
 #include "core/snapshot.hpp"
 #include "dp/detailed.hpp"
-#include "model/netlist_csr.hpp"
 #include "legal/legalizer.hpp"
 #include "legal/macro_legalizer.hpp"
 #include "util/obs_context.hpp"
@@ -41,25 +40,13 @@ struct FlowOptions {
   bool skip_eval = false;
   SnapshotOptions snapshot;  ///< snapshot.dir empty: spatial capture off.
 
-  /// Observability context for this run. Two modes:
-  ///  * null (default): the run uses the CURRENT thread-bound context and
-  ///    RESETS its counters/profile at entry — the historical behavior that
-  ///    bench loops and tests rely on (each run's report reflects that run).
-  ///  * non-null: the run binds this caller-owned context for its duration
-  ///    and does NOT reset it, so state accumulated before the flow (parse-
-  ///    repair counters, events) flows into the run report. This is the
-  ///    re-entrant mode: concurrent runs on separate contexts don't share
-  ///    any observability state.
+  /// Observability context for this run (counters, trace, profiler regions,
+  /// events). The run binds it for its duration and never resets it, so
+  /// state the caller accumulated before the flow (parse-repair counters,
+  /// events) lands in the run report. Null: the run makes a fresh context
+  /// of its own. Either way FlowResult::obs returns it, and concurrent runs
+  /// on separate contexts share no observability state.
   std::shared_ptr<obs::ObsContext> obs;
-
-  /// Optional pre-flattened design-level CSR netlist (rp_serve's design
-  /// cache). When set, stages that would call NetlistCsr::from_design(d) —
-  /// the congestion estimate feeding detailed placement — COPY this template
-  /// instead of re-flattening. The CSR is topology-only (pin coordinates are
-  /// gathered per eval), so a cached copy is valid for any design with the
-  /// same netlist regardless of positions; results are byte-identical either
-  /// way. Null: flatten from the design as always.
-  std::shared_ptr<const NetlistCsr> design_csr;
 };
 
 /// The paper's configuration (all routability levers on).
@@ -76,10 +63,9 @@ struct FlowResult {
   StageTimes times;
   std::vector<GpTracePoint> gp_trace;
   std::string snapshot_dir;  ///< Where snapshots landed (empty: disabled).
-  /// The context this run observed into (FlowOptions::obs, or null when the
-  /// run used the thread's current context). run_report_json reads counters
-  /// and event totals through this, so building a report for run A while
-  /// run B is bound stays correct.
+  /// The context this run observed into (FlowOptions::obs, or the fresh one
+  /// the run made). run_report_json reads counters and event totals through
+  /// this, so building a report for run A while run B is bound stays correct.
   std::shared_ptr<obs::ObsContext> obs;
 };
 

@@ -116,6 +116,7 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
     tp.hpwl = prob.hpwl();
     tp.overflow = ovfl;
     tp.lambda = lambda;
+    tp.gamma = gamma;
     tp.inflation = inflation_mean;
     trace_.push_back(tp);
     {
@@ -135,16 +136,7 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
       bus.emit(e);
     }
     if (opt_.snapshot != nullptr) {
-      ConvergencePoint cp;
-      cp.level = level_tag >= 0 ? level_tag : 0;
-      cp.round = level_tag < 0 ? -level_tag : 0;
-      cp.outer = outer;
-      cp.hpwl = tp.hpwl;
-      cp.overflow = ovfl;
-      cp.lambda = lambda;
-      cp.gamma = gamma;
-      cp.inflation = inflation_mean;
-      opt_.snapshot->record_point(cp);
+      opt_.snapshot->record_point(tp);
       const int every = opt_.snapshot->options().density_every;
       if (every > 0 && level_tag == 0 && outer % every == 0) {
         char nm[48];

@@ -71,13 +71,15 @@ struct GpOptions {
   SnapshotRecorder* snapshot = nullptr;
 };
 
-/// One record per outer iteration (Fig-5 convergence data).
+/// One record per outer iteration (Fig-5 convergence data; also what the
+/// snapshot recorder writes to convergence.json).
 struct GpTracePoint {
-  int level = 0;
-  int outer = 0;
+  int level = 0;  ///< Multilevel level (0 = finest); -r for reheat round r.
+  int outer = 0;  ///< Outer iteration within the level/round.
   double hpwl = 0.0;
   double overflow = 0.0;
   double lambda = 0.0;
+  double gamma = 0.0;      ///< WL smoothing width (the step-size schedule).
   double inflation = 1.0;  ///< Mean cell inflation at this point.
 };
 

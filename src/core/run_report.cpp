@@ -1,9 +1,9 @@
 #include "core/run_report.hpp"
 
 #include <cstdio>
-#include <optional>
 
 #include "core/build_info.hpp"
+#include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/obs_context.hpp"
 #include "util/logger.hpp"
@@ -97,14 +97,13 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
                             const FlowResult& r, int indent,
                             const RunErrorInfo& err) {
   // All counter/gauge/profile/event reads go through the run's own context
-  // when the flow carried one (re-entrancy: reporting run A must not read
-  // whatever context happens to be bound right now); binding it here makes
-  // the nested writers — profiler::write_report_block in particular —
-  // resolve the right instances too. Otherwise: the current context, the
-  // historical behavior.
-  std::optional<obs::ScopedBind> report_bind;
-  if (r.obs != nullptr) report_bind.emplace(r.obs.get());
-  const obs::ObsContext& obs_ctx = r.obs != nullptr ? *r.obs : obs::current();
+  // (re-entrancy: reporting run A must not read whatever context happens to
+  // be bound right now); binding it here makes the nested writers —
+  // profiler::write_report_block in particular — resolve the right
+  // instances too.
+  RP_ASSERT(r.obs != nullptr, "run report needs the run's observability context");
+  const obs::ScopedBind report_bind(r.obs.get());
+  const obs::ObsContext& obs_ctx = *r.obs;
   const telemetry::Registry& reg = obs_ctx.registry();
 
   JsonWriter w(indent);

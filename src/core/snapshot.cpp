@@ -1,5 +1,6 @@
 #include "core/snapshot.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -77,7 +78,7 @@ void SnapshotRecorder::record_grid(const std::string& stage, const std::string& 
   maps_.push_back(std::move(e));
 }
 
-void SnapshotRecorder::record_point(const ConvergencePoint& p) {
+void SnapshotRecorder::record_point(const GpTracePoint& p) {
   if (ok_) points_.push_back(p);
 }
 
@@ -93,10 +94,12 @@ bool SnapshotRecorder::finalize() {
   conv.begin_object();
   conv.kv("schema_version", 1);
   conv.key("points").begin_array();
-  for (const ConvergencePoint& p : points_) {
+  for (const GpTracePoint& p : points_) {
+    // A reheat round's points carry level -r; the file splits that into
+    // level 0, round r.
     conv.begin_object();
-    conv.kv("level", p.level);
-    conv.kv("round", p.round);
+    conv.kv("level", std::max(p.level, 0));
+    conv.kv("round", std::max(-p.level, 0));
     conv.kv("outer", p.outer);
     conv.kv("hpwl", p.hpwl);
     conv.kv("overflow", p.overflow);

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/global_placer.hpp"
 #include "db/design.hpp"
 #include "model/problem.hpp"
 #include "route/metrics.hpp"
@@ -36,18 +37,6 @@ struct SnapshotOptions {
   bool render_ppm = true;   ///< Write a .ppm next to every .grid.
   bool render_svg = false;  ///< Also write a .svg rendering.
   int density_every = 0;    ///< >0: finest-level density map every N outers.
-};
-
-/// One GP outer iteration (the spatially-resolved sibling of GpTracePoint).
-struct ConvergencePoint {
-  int level = 0;       ///< Multilevel level (0 = finest).
-  int round = 0;       ///< Routability round (0 = main descent).
-  int outer = 0;       ///< Outer iteration within the level/round.
-  double hpwl = 0.0;
-  double overflow = 0.0;
-  double lambda = 0.0;
-  double gamma = 0.0;      ///< WL smoothing width (the step-size schedule).
-  double inflation = 1.0;  ///< Mean cell inflation in effect.
 };
 
 /// One routability round: the congestion picture that drove inflation.
@@ -75,7 +64,7 @@ class SnapshotRecorder {
   void record_grid(const std::string& stage, const std::string& name,
                    const Grid2D<double>& g);
 
-  void record_point(const ConvergencePoint& p);
+  void record_point(const GpTracePoint& p);
   void record_round(const SnapshotRoundRecord& r);
 
   int num_maps() const { return static_cast<int>(maps_.size()); }
@@ -96,7 +85,7 @@ class SnapshotRecorder {
 
   SnapshotOptions opt_;
   std::vector<MapEntry> maps_;
-  std::vector<ConvergencePoint> points_;
+  std::vector<GpTracePoint> points_;
   std::vector<SnapshotRoundRecord> rounds_;
   int seq_ = 0;
   bool ok_ = false;

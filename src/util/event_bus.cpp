@@ -166,7 +166,7 @@ Event EventBus::make(EventKind kind, const char* label) const {
 bool write_all_fd(int fd, const char* data, std::size_t n) {
 #ifdef RP_OBS_POSIX
   // The sink fds here are pipes, sockets and regular files shared with slow
-  // readers (a tailing dashboard, an rp_serve client): short writes are
+  // readers (a tailing dashboard, a campaign parent): short writes are
   // ROUTINE once a line straddles the pipe/socket buffer boundary, and any
   // signal (SIGCHLD from a campaign child, a profiler timer) can abort the
   // write with EINTR before OR after a partial transfer. Loop until the

@@ -81,7 +81,7 @@ std::string event_ndjson(const Event& e);
 
 /// Write the WHOLE buffer to `fd`, retrying short writes and EINTR (both
 /// are routine on pipe/socket sinks with slow readers and signal traffic —
-/// see the NDJSON sink and the rp_serve forwarders). Returns false only on
+/// see the NDJSON sink). Returns false only on
 /// a real error (EPIPE, EBADF, ...). Async-signal-safe on POSIX.
 bool write_all_fd(int fd, const char* data, std::size_t n);
 

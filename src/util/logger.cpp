@@ -11,11 +11,11 @@ namespace rp {
 
 namespace {
 
-// The logger used to be main-thread-only by contract; rp_serve runs
-// concurrent placement jobs that all log, so the level is atomic (relaxed —
-// it is a filter, not a synchronization point) and each message is formatted
-// into one buffer and written with a single locked fwrite so lines from
-// different jobs never interleave mid-line.
+// Concurrent placement flows (one per thread, each on its own observability
+// context) all log, so the level is atomic (relaxed — it is a filter, not a
+// synchronization point) and each message is formatted into one buffer and
+// written with a single locked fwrite so lines from different flows never
+// interleave mid-line.
 std::atomic<int> g_level{static_cast<int>(LogLevel::Info)};
 std::atomic<bool> g_env_forced{false};
 std::once_flag g_env_once;

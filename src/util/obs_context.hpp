@@ -9,11 +9,10 @@
 //    ├── obs::EventBus          typed events, NDJSON stream, flight recorder
 //    └── obs::ResourceSampler   RSS/CPU/pool-busy timeline (schema-v5 block)
 //
-// Historically these four were process globals that `flow.run` reset at
-// entry, which made the flow non-re-entrant (two runs in one process tramped
-// each other's counters — the blocker for the `rp_serve` daemon, and the
-// reason PR 5 had to route ParseRepairs around the registry). Now every run
-// can own its context:
+// Every flow run owns a context: the caller's (FlowOptions::obs), or a fresh
+// one the run makes, returned in FlowResult::obs. So two runs in one process
+// — sequential or concurrent — never share counters, and state gathered
+// before the flow (parse-repair counters) lands in the same report:
 //
 //   auto obs = std::make_shared<obs::ObsContext>();
 //   obs::ScopedBind bind(obs.get());       // this thread's "current" context

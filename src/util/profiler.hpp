@@ -129,8 +129,9 @@ void set_enabled(bool on);
 /// (set and not "0"); used by the CLI and the bench binaries.
 bool env_requested();
 
-/// Zero region histograms AND the pool's cumulative profile (a flow run
-/// calls this so its report reflects that run only).
+/// Zero the current context's region histograms AND the pool's cumulative
+/// profile (a flow run observes into its own context, but the pool profile
+/// is process-wide).
 void reset_all();
 
 /// Steady-clock nanoseconds (monotonic, epoch unspecified).

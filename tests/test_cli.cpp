@@ -69,6 +69,39 @@ TEST(Cli, RejectsNonNumericValue) {
   EXPECT_THROW(parse_cli_args({"--seed", "banana"}), std::runtime_error);
 }
 
+TEST(Cli, RejectsNonPositiveGen) {
+  // Would otherwise reach the generator's "spec needs cells" assertion.
+  EXPECT_THROW(parse_cli_args({"--gen", "0"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--gen", "-5"}), std::runtime_error);
+}
+
+TEST(Cli, RejectsIntValuesThatDoNotFitAnInt) {
+  // 5000000000 would wrap to 705032704; 4294967297 to 1.
+  EXPECT_THROW(parse_cli_args({"--gen", "5000000000"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--threads", "5000000000"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--rounds", "4294967297"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--max-gp-iters", "4294967297"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--snapshot-every", "4294967297", "--snapshot-dir", "s"}),
+               std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--sample-resources", "4294967297"}), std::runtime_error);
+}
+
+TEST(Cli, RejectsNonFiniteRealValues) {
+  // NaN compares false against every range bound, so it passed them all.
+  EXPECT_THROW(parse_cli_args({"--density", "nan"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--inflate-rate", "nan"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--max-seconds", "nan"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--max-seconds", "inf"}), std::runtime_error);
+}
+
+TEST(Cli, RejectsBadSupply) {
+  EXPECT_THROW(parse_cli_args({"--supply", "0"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--supply", "-1"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--supply", "nan"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--supply", "inf"}), std::runtime_error);
+  EXPECT_DOUBLE_EQ(parse_cli_args({"--supply", "3"}).track_supply, 3.0);
+}
+
 TEST(Cli, HelpFlag) {
   const CliConfig c = parse_cli_args({"--help"});
   EXPECT_TRUE(c.help);

@@ -12,6 +12,7 @@
 #include "gen/generator.hpp"
 #include "util/json.hpp"
 #include "util/logger.hpp"
+#include "util/obs_context.hpp"
 #include "util/telemetry.hpp"
 
 namespace rp {
@@ -181,17 +182,33 @@ TEST_F(FlowTest, CounterRegistryResetsBetweenRuns) {
   BenchmarkSpec spec = tiny_spec(71);
   Design a = generate_benchmark(spec);
   PlacementFlow fa;
-  fa.run(a);
-  const auto& reg = telemetry::Registry::instance();
-  const std::int64_t outers_a = reg.counter_value("gp.outer_iters");
+  const FlowResult ra = fa.run(a);
+  const std::int64_t outers_a = ra.obs->registry().counter_value("gp.outer_iters");
   ASSERT_GT(outers_a, 0);
 
   Design b = generate_benchmark(spec);
   PlacementFlow fb;
-  fb.run(b);
-  // Same design, fresh registry: the second run's count matches the first
-  // instead of doubling (the flow resets counters at entry).
-  EXPECT_EQ(reg.counter_value("gp.outer_iters"), outers_a);
+  const FlowResult rb = fb.run(b);
+  // Same design, fresh context: the second run's count matches the first
+  // instead of doubling (each run counts only itself).
+  EXPECT_EQ(rb.obs->registry().counter_value("gp.outer_iters"), outers_a);
+}
+
+TEST_F(FlowTest, NullObsRunLeavesTheBoundContextAlone) {
+  // A caller-bound context is not the run's: a flow with no FlowOptions::obs
+  // observes into a fresh context of its own and hands it back in r.obs.
+  obs::ObsContext caller;
+  obs::ScopedBind bind(&caller);
+  RP_COUNT("gp.outer_iters", 5);
+  Design d = generate_benchmark(tiny_spec(72));
+  PlacementFlow flow;
+  const FlowResult r = flow.run(d);
+  ASSERT_NE(r.obs, nullptr);
+  EXPECT_NE(r.obs.get(), &caller);
+  EXPECT_GT(r.obs->registry().counter_value("gp.outer_iters"), 0);
+  EXPECT_EQ(caller.registry().counter_value("gp.outer_iters"), 5);
+  EXPECT_EQ(caller.events().events_emitted(), 0u);
+  EXPECT_EQ(&obs::current(), &caller);  // the caller's binding is restored
 }
 
 TEST_F(FlowTest, GpTraceExposedInResult) {

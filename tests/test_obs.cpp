@@ -1,16 +1,24 @@
-// Observability-context tests: the re-entrancy gate for PR 7.
+// Observability-context tests: the re-entrancy gate.
 //
-// The contract under test (util/obs_context.hpp): flow.run observes into a
-// per-run ObsContext instead of process globals, so (a) two sequential runs
-// in one process and (b) two concurrent runs on separate contexts all
-// produce run reports identical — under rp_report_diff's default volatile
-// ignores with ZERO numeric tolerance — to a fresh-context baseline run.
-// Plus unit coverage for the thread-bound current context, the epoch-stamped
-// macro slot caches, the event bus ring/stream/flight recorder, and the
+// The contract under test (util/obs_context.hpp): every flow.run observes
+// into its own ObsContext — the caller's FlowOptions::obs or a fresh one —
+// never process globals, so (a) sequential runs in one process and (b) two
+// concurrent runs on separate contexts all produce run reports identical —
+// under rp_report_diff's default volatile ignores with ZERO numeric
+// tolerance — to a fresh-context baseline run. Plus unit coverage for the
+// thread-bound current context, the epoch-stamped macro slot caches, the
+// event bus ring/stream/flight recorder and its fd writer, and the
 // cooperative interrupt path.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <pthread.h>
+#include <signal.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -266,6 +274,68 @@ TEST_F(ObsTest, EveryEventKindHasAStableWireName) {
     ASSERT_NE(name, nullptr);
     EXPECT_GT(std::string(name).size(), 0u);
   }
+}
+
+TEST_F(ObsTest, WriteAllFdSurvivesSignalStormAndFullPipe) {
+  // A pipe shrunk to one page, a deliberately slow reader, and a SIGUSR1
+  // storm (handler installed WITHOUT SA_RESTART) at the writer: write()
+  // must hit both short writes and EINTR, and write_all_fd must deliver
+  // every byte in order anyway.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+#ifdef F_SETPIPE_SZ
+  ::fcntl(fds[1], F_SETPIPE_SZ, 4096);
+#endif
+  struct sigaction sa {};
+  sa.sa_handler = [](int) {};
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;  // no SA_RESTART: write() really returns EINTR
+  struct sigaction old {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old), 0);
+
+  const std::size_t total = 256 * 1024;
+  std::string payload(total, '\0');
+  for (std::size_t i = 0; i < total; ++i)
+    payload[i] = static_cast<char>('a' + (i % 23));
+
+  std::atomic<bool> write_done{false};
+  std::atomic<bool> ok{false};
+  std::thread writer([&] {
+    ok.store(obs::write_all_fd(fds[1], payload.data(), payload.size()));
+    write_done.store(true);
+    ::close(fds[1]);
+  });
+  std::thread storm([&] {
+    while (!write_done.load()) {
+      pthread_kill(writer.native_handle(), SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  std::string got;
+  char buf[512];  // small reads keep the pipe full -> short writes upstream
+  for (;;) {
+    ssize_t n;
+    while ((n = ::read(fds[0], buf, sizeof(buf))) < 0 && errno == EINTR) {
+    }
+    if (n <= 0) break;
+    got.append(buf, static_cast<std::size_t>(n));
+    if (got.size() < total / 2)
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  writer.join();
+  storm.join();
+  ::close(fds[0]);
+  ::sigaction(SIGUSR1, &old, nullptr);
+  EXPECT_TRUE(ok.load());
+  EXPECT_EQ(got.size(), total);
+  EXPECT_EQ(got, payload);
+  // And the documented failure mode: a closed read end is a real error.
+  int dead[2];
+  ASSERT_EQ(::pipe(dead), 0);
+  ::close(dead[0]);
+  signal(SIGPIPE, SIG_IGN);
+  EXPECT_FALSE(obs::write_all_fd(dead[1], "x", 1));
+  ::close(dead[1]);
 }
 
 // ------------------------------------------------------------- interrupts

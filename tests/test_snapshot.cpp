@@ -139,7 +139,7 @@ TEST(Snapshot, RecorderWritesManifestAndArtifacts) {
     ASSERT_TRUE(rec.ok());
     rec.record_grid("round1", "overflow", ramp_grid(5, 5));
     rec.record_grid("round1", "weird name/with:junk", ramp_grid(2, 2));
-    ConvergencePoint p;
+    GpTracePoint p;
     p.outer = 1;
     p.hpwl = 123.0;
     rec.record_point(p);
@@ -177,6 +177,40 @@ TEST(Snapshot, RecorderWritesManifestAndArtifacts) {
   EXPECT_DOUBLE_EQ(conv.at("points").arr[0].at("hpwl").num, 123.0);
   ASSERT_EQ(conv.at("rounds").arr.size(), 1u);
   EXPECT_EQ(conv.at("rounds").arr[0].at("cells_inflated").num, 7.0);
+  fs::remove_all(dir);
+}
+
+TEST(Snapshot, ConvergenceSplitsReheatRoundsFromLevels) {
+  // GP traces a reheat round r as level -r; convergence.json reports it as
+  // level 0, round r, and a main-descent level k as level k, round 0.
+  const fs::path dir = fs::temp_directory_path() / "rp_snap_conv_test";
+  fs::remove_all(dir);
+  SnapshotOptions opt;
+  opt.dir = dir.string();
+  {
+    SnapshotRecorder rec(opt);
+    ASSERT_TRUE(rec.ok());
+    GpTracePoint p;
+    p.level = 2;
+    p.outer = 4;
+    p.gamma = 8.5;
+    rec.record_point(p);
+    p.level = -3;
+    p.outer = 1;
+    rec.record_point(p);
+    EXPECT_TRUE(rec.finalize());
+  }
+  const JsonValue conv = json_parse(slurp(dir / "convergence.json"));
+  ASSERT_EQ(conv.at("points").arr.size(), 2u);
+  const JsonValue& main = conv.at("points").arr[0];
+  EXPECT_EQ(main.at("level").num, 2.0);
+  EXPECT_EQ(main.at("round").num, 0.0);
+  EXPECT_EQ(main.at("outer").num, 4.0);
+  EXPECT_DOUBLE_EQ(main.at("gamma").num, 8.5);
+  const JsonValue& reheat = conv.at("points").arr[1];
+  EXPECT_EQ(reheat.at("level").num, 0.0);
+  EXPECT_EQ(reheat.at("round").num, 3.0);
+  EXPECT_EQ(reheat.at("outer").num, 1.0);
   fs::remove_all(dir);
 }
 
@@ -267,7 +301,7 @@ TEST(ReportDiff, SnapshotDirsSelfCleanAndGridDeltaDetected) {
     SnapshotRecorder rec(opt);
     ASSERT_TRUE(rec.ok());
     rec.record_grid("round1", "overflow", ramp_grid(6, 6));
-    ConvergencePoint p;
+    GpTracePoint p;
     p.hpwl = 55.0;
     rec.record_point(p);
     ASSERT_TRUE(rec.finalize());
