@@ -11,6 +11,8 @@
 //                           (same schema as `routplace --report-json`), so the
 //                           perf-trajectory tooling consumes bench output
 //                           without scraping tables.
+//   RP_THREADS=<n>          pool size, as for routplace (default: every
+//                           hardware thread); placements do not depend on it.
 
 #include <cstdlib>
 #include <fstream>
@@ -99,10 +101,15 @@ inline double geomean(const std::vector<double>& v) {
   return n > 0 ? std::exp(s / n) : 0.0;
 }
 
+/// Every paper bench starts here: sizes the pool by routplace's policy
+/// (RP_THREADS, else every hardware thread) and prints the header, with the
+/// thread count the runtimes below were measured at.
 inline void banner(const char* id, const char* what) {
+  parallel::set_num_threads(parallel::resolve_threads(0));
   std::printf("==============================================================\n");
   std::printf("%s — %s\n", id, what);
   std::printf("(synthetic suite; see DESIGN.md for the substitution rationale)\n");
+  std::printf("threads: %d\n", parallel::num_threads());
   if (quick_mode()) std::printf("[RP_BENCH_QUICK=1: reduced-size smoke run]\n");
   std::printf("==============================================================\n");
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "route/estimator.hpp"
 #include "util/assert.hpp"
@@ -17,6 +16,7 @@ GlobalRouter::GlobalRouter(RoutingGrid& grid, RouterOptions opt)
   const auto edges = static_cast<std::size_t>(grid.num_h_edges() + grid.num_v_edges());
   history_.assign(edges, 0.0);
   edges_.resize(edges);
+  cost_.resize(edges);
   const auto tiles = static_cast<std::size_t>(grid.nx()) * static_cast<std::size_t>(grid.ny());
   tile_x_.resize(tiles);
   tile_y_.resize(tiles);
@@ -24,9 +24,55 @@ GlobalRouter::GlobalRouter(RoutingGrid& grid, RouterOptions opt)
     tile_x_[t] = static_cast<int>(t % static_cast<std::size_t>(grid.nx()));
     tile_y_[t] = static_cast<int>(t / static_cast<std::size_t>(grid.nx()));
   }
-  dist_.resize(tiles);
-  came_.resize(tiles);
-  stamp_.assign(tiles, 0);
+  tiles_.resize(tiles);
+}
+
+void GlobalRouter::open_sift_up(std::size_t i, OpenEntry e) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!(e < open_[parent])) break;
+    open_[i] = open_[parent];
+    tiles_[static_cast<std::size_t>(open_[i].tile)].pos = static_cast<int>(i);
+    i = parent;
+  }
+  open_[i] = e;
+  tiles_[static_cast<std::size_t>(e.tile)].pos = static_cast<int>(i);
+}
+
+void GlobalRouter::open_push_or_decrease(TileState& st, int t, double f) {
+  if (st.pos < 0) {
+    open_.push_back({f, t});
+    open_sift_up(open_.size() - 1, {f, t});
+  } else {
+    open_sift_up(static_cast<std::size_t>(st.pos), {f, t});
+  }
+}
+
+GlobalRouter::OpenEntry GlobalRouter::open_pop() {
+  const OpenEntry top = open_.front();
+  tiles_[static_cast<std::size_t>(top.tile)].pos = -1;
+  const OpenEntry last = open_.back();
+  open_.pop_back();
+  const std::size_t n = open_.size();
+  if (n > 0) {
+    // Sift `last` down from the root.
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= n) break;
+      std::size_t best = first;
+      const std::size_t end = std::min(first + 4, n);
+      for (std::size_t c = first + 1; c < end; ++c)
+        if (open_[c] < open_[best]) best = c;
+      if (!(open_[best] < last)) break;
+      open_[i] = open_[best];
+      tiles_[static_cast<std::size_t>(open_[i].tile)].pos = static_cast<int>(i);
+      i = best;
+    }
+    open_[i] = last;
+    tiles_[static_cast<std::size_t>(last.tile)].pos = static_cast<int>(i);
+  }
+  return top;
 }
 
 void GlobalRouter::refresh_base(std::size_t e) {
@@ -34,12 +80,12 @@ void GlobalRouter::refresh_base(std::size_t e) {
   edges_[e].base = len * (1.0 + history_[e]);
 }
 
-double GlobalRouter::edge_cost(int e) const {
-  const EdgeState& st = edges_[static_cast<std::size_t>(e)];
+void GlobalRouter::refresh_cost(std::size_t e) {
+  const EdgeState& st = edges_[e];
   const double overuse = std::max(0.0, st.use + 1.0 - st.cap);
   double c = st.base * (1.0 + pres_fac_ * overuse);
   if (st.blocked) c *= opt_.blocked_penalty;
-  return c;
+  cost_[e] = c;
 }
 
 double GlobalRouter::route_segment(const Segment& s, std::vector<int>& path, int margin) {
@@ -56,31 +102,24 @@ double GlobalRouter::route_segment(const Segment& s, std::vector<int>& path, int
   };
 
   if (++epoch_ == 0) {  // stamp wrap-around: invalidate every tile once
-    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    for (TileState& st : tiles_) st.stamp = 0;
     epoch_ = 1;
   }
-  const auto seen = [&](int t) { return stamp_[static_cast<std::size_t>(t)] == epoch_; };
   // Ties on f pop the smaller tile id first; tile ids order tiles row-major
   // exactly like ids local to the segment's box would, so the search order
   // does not depend on the id space.
-  const auto heap_cmp = std::greater<HeapEntry>();
   open_.clear();
   const int start = tile(s.x0, s.y0);
-  stamp_[static_cast<std::size_t>(start)] = epoch_;
-  dist_[static_cast<std::size_t>(start)] = 0.0;
-  came_[static_cast<std::size_t>(start)] = -1;
-  open_.emplace_back(heur(s.x0, s.y0), start);
+  tiles_[static_cast<std::size_t>(start)] = {0.0, -1, -1, epoch_};
+  open_push_or_decrease(tiles_[static_cast<std::size_t>(start)], start, heur(s.x0, s.y0));
 
   const int goal = tile(s.x1, s.y1);
   while (!open_.empty()) {
-    std::pop_heap(open_.begin(), open_.end(), heap_cmp);
-    const auto [f, u] = open_.back();
-    open_.pop_back();
+    const int u = open_pop().tile;
+    if (u == goal) break;
     const int ux = tile_x_[static_cast<std::size_t>(u)];
     const int uy = tile_y_[static_cast<std::size_t>(u)];
-    const double g = dist_[static_cast<std::size_t>(u)];
-    if (f > g + heur(ux, uy) + 1e-12) continue;  // stale entry
-    if (u == goal) break;
+    const double g = tiles_[static_cast<std::size_t>(u)].dist;
     struct Nb {
       int ix, iy, edge;
     };
@@ -93,24 +132,27 @@ double GlobalRouter::route_segment(const Segment& s, std::vector<int>& path, int
     for (const auto& nb : nbs) {
       if (nb.edge < 0) continue;
       const int v = tile(nb.ix, nb.iy);
-      const auto uv = static_cast<std::size_t>(v);
-      const double ng = g + edge_cost(nb.edge);
-      if (!seen(v) || ng < dist_[uv]) {
-        stamp_[uv] = epoch_;
-        dist_[uv] = ng;
-        came_[uv] = nb.edge;
-        open_.emplace_back(ng + heur(nb.ix, nb.iy), v);
-        std::push_heap(open_.begin(), open_.end(), heap_cmp);
+      TileState& st = tiles_[static_cast<std::size_t>(v)];
+      const double ng = g + cost_[static_cast<std::size_t>(nb.edge)];
+      if (st.stamp != epoch_) {
+        st = {ng, nb.edge, -1, epoch_};
+      } else if (ng < st.dist) {
+        st.dist = ng;
+        st.came = nb.edge;
+      } else {
+        continue;
       }
+      // A tile that was already expanded goes back on the open list.
+      open_push_or_decrease(st, v, ng + heur(nb.ix, nb.iy));
     }
   }
 
-  if (!seen(goal)) return -1.0;  // unreachable (shouldn't happen)
+  if (tiles_[static_cast<std::size_t>(goal)].stamp != epoch_) return -1.0;  // unreachable
   // Walk back from goal to start via stored edges.
   double length = 0.0;
   int cx = s.x1, cy = s.y1;
   while (!(cx == s.x0 && cy == s.y0)) {
-    const int e = came_[static_cast<std::size_t>(tile(cx, cy))];
+    const int e = tiles_[static_cast<std::size_t>(tile(cx, cy))].came;
     RP_ASSERT(e >= 0, "router backtrace broke");
     path.push_back(e);
     const auto [ix, iy] = edge_xy(e);
@@ -141,6 +183,7 @@ RouteStats GlobalRouter::route(const Design& d) {
     st.blocked = st.cap < 1e-6;
     st.use = 0.0;
     refresh_base(e);
+    refresh_cost(e);
   }
 
   // Build segments from net MSTs (pin positions snapped to tiles).
@@ -196,6 +239,7 @@ RouteStats GlobalRouter::route(const Design& d) {
 
     // Rip up & reroute segments using overflowed edges.
     pres_fac_ *= opt_.pres_fac_mult;
+    for (std::size_t e = 0; e < edges_.size(); ++e) refresh_cost(e);
     const int margin = opt_.bbox_margin + it * opt_.bbox_grow_per_iter;
     int rerouted = 0;
     for (std::size_t i = 0; i < segs.size(); ++i) {

@@ -67,7 +67,19 @@ class GlobalRouter {
     double cap = 0.0;
     bool blocked = false;  ///< cap ≈ 0: cost scaled by blocked_penalty.
   };
-  using HeapEntry = std::pair<double, int>;  ///< (f = g + h, tile)
+  /// A* state of one tile, live only while stamp == epoch_.
+  struct TileState {
+    double dist = 0.0;  ///< Best known cost from the segment's start.
+    int came = -1;      ///< Edge the best path entered the tile by.
+    int pos = -1;       ///< Index in open_, or -1 when not queued.
+    std::uint32_t stamp = 0;
+  };
+  /// Open-list entry; ordered by (f = g + h, tile), so keys are distinct.
+  struct OpenEntry {
+    double f;
+    int tile;
+    bool operator<(const OpenEntry& o) const { return f < o.f || (f == o.f && tile < o.tile); }
+  };
 
   /// Route one segment; appends traversed edge ids to path. Returns length.
   double route_segment(const Segment& s, std::vector<int>& path, int margin);
@@ -82,9 +94,18 @@ class GlobalRouter {
     if (is_h(e)) return {e % (grid_.nx() - 1), e / (grid_.nx() - 1)};
     return {(e - h_base_) % grid_.nx(), (e - h_base_) / grid_.nx()};
   }
-  double edge_cost(int e) const;
-  void add_edge_usage(int e, double tracks) { edges_[static_cast<std::size_t>(e)].use += tracks; }
+  /// cost_[e] = base · (1 + pres · overuse), × blocked_penalty if blocked.
+  void refresh_cost(std::size_t e);
+  void add_edge_usage(int e, double tracks) {
+    edges_[static_cast<std::size_t>(e)].use += tracks;
+    refresh_cost(static_cast<std::size_t>(e));
+  }
   void refresh_base(std::size_t e);
+  /// Queue tile t with key f, or lower its key to f if it is queued.
+  void open_push_or_decrease(TileState& st, int t, double f);
+  /// Remove and return the open list's minimum.
+  OpenEntry open_pop();
+  void open_sift_up(std::size_t i, OpenEntry e);
 
   RoutingGrid& grid_;
   RouterOptions opt_;
@@ -92,16 +113,20 @@ class GlobalRouter {
   double pres_fac_ = 0.0;
   std::vector<double> history_;
   std::vector<EdgeState> edges_;
+  /// Each edge's A* cost at the current usage and pressure, refreshed
+  /// whenever either changes (history only changes together with pressure).
+  std::vector<double> cost_;
 
   // A* scratch over the full tile grid (tile id = iy*nx + ix), reused by
-  // every segment: a tile's dist_/came_ entries are live only while its
-  // stamp_ equals epoch_, so starting a search is one increment.
+  // every segment: a tile's state is live only while its stamp equals
+  // epoch_, so starting a search is one increment.
   std::vector<int> tile_x_, tile_y_;  ///< tile id -> (ix, iy)
-  std::vector<double> dist_;
-  std::vector<int> came_;  ///< Edge the best path entered the tile by.
-  std::vector<std::uint32_t> stamp_;
+  std::vector<TileState> tiles_;
   std::uint32_t epoch_ = 0;
-  std::vector<HeapEntry> open_;  ///< Min-heap on (f, tile).
+  /// Indexed 4-ary min-heap on (f, tile): one entry per queued tile, whose
+  /// position TileState::pos tracks, so a better path lowers the key in
+  /// place instead of queuing a second entry.
+  std::vector<OpenEntry> open_;
 };
 
 }  // namespace rp

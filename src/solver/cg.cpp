@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/error.hpp"
@@ -31,15 +32,6 @@ double inf_norm(const std::vector<double>& v) {
         return simd::ops().abs_max(v.data() + b, e - b);
       },
       [](double a, double b) { return std::max(a, b); });
-}
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  return parallel::parallel_reduce(
-      a.size(), kVecGrain, 0.0,
-      [&](std::size_t bg, std::size_t e, int) {
-        return simd::ops().dot(a.data() + bg, b.data() + bg, e - bg);
-      },
-      [](double x, double y) { return x + y; });
 }
 
 /// z_trial = z + alpha * d  (element-parallel).
@@ -99,14 +91,18 @@ CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptio
       break;
     }
 
-    // Polak–Ribière+ with automatic restart (β clamped at 0).
-    const double num = parallel::parallel_reduce(
-        n, kVecGrain, 0.0,
+    // Polak–Ribière+ with automatic restart (β clamped at 0). Numerator and
+    // denominator share one region; each is still summed over the chunks in
+    // ascending order, so both match their separate reductions bit for bit.
+    using Pair = std::pair<double, double>;
+    const auto [num, den] = parallel::parallel_reduce(
+        n, kVecGrain, Pair{0.0, 0.0},
         [&](std::size_t b, std::size_t e, int) {
-          return simd::ops().pr_num(g.data() + b, g_prev.data() + b, e - b);
+          const simd::Ops& ops = simd::ops();
+          return Pair{ops.pr_num(g.data() + b, g_prev.data() + b, e - b),
+                      ops.dot(g_prev.data() + b, g_prev.data() + b, e - b)};
         },
-        [](double x, double y) { return x + y; });
-    const double den = dot(g_prev, g_prev);
+        [](const Pair& x, const Pair& y) { return Pair{x.first + y.first, x.second + y.second}; });
     const double beta = den > 0 ? std::max(0.0, num / den) : 0.0;
     const double gd = parallel::parallel_reduce(
         n, kVecGrain, 0.0,

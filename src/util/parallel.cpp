@@ -1,7 +1,6 @@
 #include "util/parallel.hpp"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
@@ -51,8 +50,8 @@ namespace {
 thread_local bool t_in_region = false;
 
 /// Chunk/worker timing switch (profiler::set_enabled routes here). Written
-/// on the main thread outside regions; workers observe it via the
-/// mutex-published per-job flag, never directly.
+/// on the main thread outside regions; workers observe it via the per-job
+/// flag published with each job, never directly.
 bool g_pool_profiling = false;
 }  // namespace
 
@@ -63,6 +62,43 @@ void set_pool_profiling(bool on) {
 
 bool pool_profiling() { return g_pool_profiling; }
 
+namespace {
+/// How long an idle worker polls for the next job, and the caller for the
+/// last chunk of its own, before parking in std::atomic::wait. GP issues its
+/// regions a few µs to a few hundred µs apart (the CG vector ops, the two
+/// density passes and the WA kernel of one evaluation follow each other),
+/// and one futex sleep/wake round trip costs tens of µs on a VM. Measured on
+/// a 4-vCPU KVM Xeon, 4 threads, 12-chunk regions of 94 µs total work:
+/// back to back, a region takes 24.5 µs (ideal 23.5; the condvar handshake
+/// took 42); with 50 µs of serial work between regions it takes 70 µs at
+/// this window but 95 µs at a 20 µs window, where workers park in every gap.
+/// 200 µs is still short enough that a serial phase (the sequential router,
+/// legalization, DP) parks every worker almost at once.
+constexpr std::uint64_t kSpinWindowNs = 200000;
+
+/// Processor hint for a polling loop (lower power, no memory-order
+/// mis-speculation penalty when the polled line changes).
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Poll until done(): spin with cpu_relax() for kSpinWindowNs, then block in
+/// wait(). Both callables must be safe to call repeatedly.
+template <typename Done, typename Wait>
+void spin_then_park(Done&& done, Wait&& wait) {
+  if (done()) return;
+  const std::uint64_t t0 = profiler::now_ns();
+  for (int i = 1; !done(); ++i) {
+    cpu_relax();
+    if (i % 64 == 0 && profiler::now_ns() - t0 >= kSpinWindowNs) return wait();
+  }
+}
+}  // namespace
+
 struct ThreadPool::Impl {
   /// Serializes whole jobs across concurrent submitters (distinct threads
   /// running distinct flows). Held for a job's full lifetime — pooled path
@@ -70,24 +106,33 @@ struct ThreadPool::Impl {
   /// profile). Nested regions never take it (they run inline unprofiled),
   /// so there is no self-deadlock.
   std::mutex submit_m;
-  std::mutex m;
-  std::condition_variable cv_work;   // workers wait for a job / shutdown
-  std::condition_variable cv_done;   // caller waits for job completion
   std::vector<std::thread> workers;  // threads_ - 1 of them
-  bool shutdown = false;
 
-  // Current job (valid while job_active). The caller's run() does not return
-  // until chunks_done == plan->count AND workers_in_job == 0, so plan/fn and
-  // next_chunk stay valid for every worker that entered the job.
-  bool job_active = false;
+  // Job handshake, lock-free. The submitter writes the job fields below,
+  // publishes `cursor` = {epoch, chunks left}, then bumps `epoch`; workers
+  // poll `epoch` and park on it once their spin window runs out. A chunk is
+  // claimed by a CAS on `cursor` that succeeds only while the cursor still
+  // carries the epoch the worker woke for, so a worker that arrives after
+  // its job has finished claims nothing — and a worker reads the job fields
+  // only after a successful claim, when the job cannot finish (and the
+  // submitter cannot return or overwrite them) before that chunk is done.
+  // (A stale claim would need the 32-bit epoch to wrap while a worker
+  // sleeps.) The submitter returns once `done` (chunks finished) reaches the
+  // count. The hot words sit on their own cache lines: idle workers poll
+  // `epoch` while busy ones hammer `cursor` and `done`.
+  alignas(64) std::atomic<std::uint32_t> epoch{0};  // bumped per job and on shutdown
+  alignas(64) std::atomic<std::uint64_t> cursor{0};  // epoch << 32 | chunks unclaimed
+  alignas(64) std::atomic<int> done{0};              // chunks of the job finished
+  std::atomic<bool> caller_parked{false};  // submitter blocked in done.wait()
+  alignas(64) std::atomic<int> parked{0};  // workers blocked in epoch.wait()
+  std::atomic<bool> shutdown{false};
+  static constexpr std::uint64_t kLeftMask = 0xffffffffu;
+
+  // Current job (written by the submitter before it publishes `cursor`).
+  int job_count = 0;
   bool job_instrument = false;  // time chunks into the worker slots
   bool job_trace = false;       // additionally keep per-chunk trace events
-  std::uint64_t job_seq = 0;
-  const ChunkPlan* plan = nullptr;
   const std::function<void(int, int)>* fn = nullptr;
-  std::atomic<int> next_chunk{0};
-  int chunks_done = 0;
-  int workers_in_job = 0;
 
   // ---------------------------------------------------------- observability
   // Pre-allocated per-worker region scratch (sized at resize()): each worker
@@ -170,6 +215,40 @@ struct ThreadPool::Impl {
     const double imb = mean_busy > 0.0 ? static_cast<double>(max_busy) / mean_busy : 1.0;
     if (imb > imb_max) imb_max = imb;
   }
+
+  /// Claim and run chunks of job `tag` (ascending indices) until none is
+  /// left, then add them to `done`, waking a parked submitter when they were
+  /// the job's last. A thread that claims nothing touches no job state.
+  void run_chunks(std::uint32_t tag, int worker, std::atomic<int>& busy_workers) {
+    const std::uint64_t tagged = std::uint64_t{tag} << 32;
+    std::uint64_t cur = cursor.load();
+    int ran = 0, count = 0;
+    bool instrument = false, trace = false;
+    while ((cur & ~kLeftMask) == tagged && (cur & kLeftMask) != 0) {
+      if (!cursor.compare_exchange_weak(cur, cur - 1)) continue;
+      if (ran == 0) {  // job fields are stable until this chunk is done
+        count = job_count;
+        instrument = job_instrument;
+        trace = job_trace;
+        t_in_region = true;
+        busy_workers.fetch_add(1, std::memory_order_relaxed);
+      }
+      const int c = count - static_cast<int>(cur & kLeftMask);
+      if (instrument) {
+        const std::uint64_t t0 = profiler::now_ns();
+        (*fn)(c, worker);
+        slots[static_cast<std::size_t>(worker)].time_chunk(t0, profiler::now_ns() - t0, trace);
+      } else {
+        (*fn)(c, worker);
+      }
+      ++ran;
+      cur = cursor.load();
+    }
+    if (ran == 0) return;
+    busy_workers.fetch_sub(1, std::memory_order_relaxed);
+    t_in_region = false;
+    if (done.fetch_add(ran) + ran == count && caller_parked.load()) done.notify_one();
+  }
 };
 
 ThreadPool& ThreadPool::instance() {
@@ -196,72 +275,44 @@ void ThreadPool::resize(int threads) {
   stop_workers();
   threads_ = threads;
   // Worker-count-dependent slots are rebuilt, so the cumulative profile
-  // restarts from zero (a flow run resets it anyway via reset_pool_profile).
+  // restarts from zero (the benchmark loop also zeroes it between runs via
+  // reset_pool_profile).
   impl_->slots.assign(static_cast<std::size_t>(threads), Impl::WorkerSlot{});
   impl_->totals.assign(static_cast<std::size_t>(threads), WorkerProfile{});
   start_workers(threads - 1);
 }
 
 void ThreadPool::start_workers(int n) {
-  impl_->shutdown = false;
+  const std::uint32_t seen = impl_->epoch.load();
   for (int i = 0; i < n; ++i)
-    impl_->workers.emplace_back([this, i] { worker_loop(i + 1); });
+    impl_->workers.emplace_back([this, i, seen] { worker_loop(i + 1, seen); });
 }
 
 void ThreadPool::stop_workers() {
-  {
-    std::unique_lock<std::mutex> lk(impl_->m);
-    impl_->shutdown = true;
-  }
-  impl_->cv_work.notify_all();
-  for (std::thread& t : impl_->workers) t.join();
-  impl_->workers.clear();
-  impl_->shutdown = false;
+  Impl& s = *impl_;
+  s.shutdown.store(true);
+  s.epoch.fetch_add(1);
+  s.epoch.notify_all();
+  for (std::thread& t : s.workers) t.join();
+  s.workers.clear();
+  s.shutdown.store(false);
 }
 
-void ThreadPool::worker_loop(int worker_id) {
+void ThreadPool::worker_loop(int worker_id, std::uint32_t seen) {
   Impl& s = *impl_;
-  std::uint64_t seen_seq = 0;
   for (;;) {
-    const ChunkPlan* plan = nullptr;
-    const std::function<void(int, int)>* fn = nullptr;
-    bool instrument = false;
-    bool trace = false;
-    {
-      std::unique_lock<std::mutex> lk(s.m);
-      s.cv_work.wait(lk, [&] { return s.shutdown || (s.job_active && s.job_seq != seen_seq); });
-      if (s.shutdown) return;
-      seen_seq = s.job_seq;
-      plan = s.plan;
-      fn = s.fn;
-      instrument = s.job_instrument;
-      trace = s.job_trace;
-      ++s.workers_in_job;
-    }
-    Impl::WorkerSlot& slot = s.slots[static_cast<std::size_t>(worker_id)];
-    t_in_region = true;
-    busy_workers_.fetch_add(1, std::memory_order_relaxed);
-    int done = 0;
-    for (;;) {
-      const int c = s.next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= plan->count) break;
-      if (instrument) {
-        const std::uint64_t t0 = profiler::now_ns();
-        (*fn)(c, worker_id);
-        slot.time_chunk(t0, profiler::now_ns() - t0, trace);
-      } else {
-        (*fn)(c, worker_id);
-      }
-      ++done;
-    }
-    busy_workers_.fetch_sub(1, std::memory_order_relaxed);
-    t_in_region = false;
-    {
-      std::unique_lock<std::mutex> lk(s.m);
-      s.chunks_done += done;
-      --s.workers_in_job;
-      if (s.chunks_done == plan->count && s.workers_in_job == 0) s.cv_done.notify_all();
-    }
+    spin_then_park([&] { return s.epoch.load() != seen; },
+                   [&] {
+                     // The submitter notifies only if it sees parked > 0
+                     // after bumping the epoch; wait() re-checks the epoch
+                     // after parked is raised, so no wake-up is lost.
+                     s.parked.fetch_add(1);
+                     s.epoch.wait(seen);
+                     s.parked.fetch_sub(1);
+                   });
+    if (s.shutdown.load()) return;
+    seen = s.epoch.load();
+    s.run_chunks(seen, worker_id, busy_workers_);
   }
 }
 
@@ -305,43 +356,25 @@ void ThreadPool::run(const ChunkPlan& plan, const std::function<void(int, int)>&
   const bool trace = telemetry::trace_enabled();
   const bool instrument = g_pool_profiling || trace;
   const std::uint64_t r0 = instrument ? profiler::now_ns() : 0;
-  {
-    std::unique_lock<std::mutex> lk(s.m);
-    s.plan = &plan;
-    s.fn = &fn;
-    s.next_chunk.store(0, std::memory_order_relaxed);
-    s.chunks_done = 0;
-    s.job_active = true;
-    s.job_instrument = instrument;
-    s.job_trace = trace;
-    ++s.job_seq;
-  }
-  s.cv_work.notify_all();
-  // The caller is worker 0.
-  Impl::WorkerSlot& slot = s.slots[0];
-  t_in_region = true;
-  busy_workers_.fetch_add(1, std::memory_order_relaxed);
-  int done = 0;
-  for (;;) {
-    const int c = s.next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (c >= plan.count) break;
-    if (instrument) {
-      const std::uint64_t t0 = profiler::now_ns();
-      fn(c, 0);
-      slot.time_chunk(t0, profiler::now_ns() - t0, trace);
-    } else {
-      fn(c, 0);
-    }
-    ++done;
-  }
-  busy_workers_.fetch_sub(1, std::memory_order_relaxed);
-  t_in_region = false;
-  {
-    std::unique_lock<std::mutex> lk(s.m);
-    s.chunks_done += done;
-    s.cv_done.wait(lk, [&] { return s.chunks_done == plan.count && s.workers_in_job == 0; });
-    s.job_active = false;
-  }
+  const int count = plan.count;
+  s.fn = &fn;
+  s.job_count = count;
+  s.job_instrument = instrument;
+  s.job_trace = trace;
+  s.done.store(0);
+  const std::uint32_t tag = s.epoch.load() + 1;
+  s.cursor.store(std::uint64_t{tag} << 32 | static_cast<std::uint32_t>(count));
+  s.epoch.store(tag);
+  if (s.parked.load() > 0) s.epoch.notify_all();
+  s.run_chunks(tag, 0, busy_workers_);  // the caller is worker 0
+  spin_then_park([&] { return s.done.load() == count; },
+                 [&] {
+                   // Mirror of the worker park: the chunk that completes the
+                   // job notifies only if it sees caller_parked.
+                   s.caller_parked.store(true);
+                   for (int d = s.done.load(); d != count; d = s.done.load()) s.done.wait(d);
+                   s.caller_parked.store(false);
+                 });
   if (instrument)
     s.fold_region(profiler::now_ns() - r0, threads_, g_pool_profiling, trace);
 }

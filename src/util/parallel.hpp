@@ -122,6 +122,13 @@ void reset_pool_profile();
 /// Fixed-size pool of persistent workers. Thread 0 is the CALLER: a region
 /// with T threads runs on T-1 workers plus the submitting thread, so
 /// `threads() == 1` means fully inline execution.
+///
+/// Fork-join is spin-then-park and takes no lock per region: the submitter
+/// publishes a job by bumping an atomic epoch, idle workers poll that epoch
+/// for a short fixed window before parking in std::atomic::wait (they are
+/// notified only when some worker is parked), chunks are claimed off an
+/// epoch-tagged atomic cursor, and the caller spins, then waits, on an
+/// atomic count of finished chunks.
 class ThreadPool {
  public:
   static ThreadPool& instance();
@@ -158,7 +165,7 @@ class ThreadPool {
   ThreadPool();
   void start_workers(int n);
   void stop_workers();
-  void worker_loop(int worker_id);
+  void worker_loop(int worker_id, std::uint32_t seen);
 
   struct Impl;
   Impl* impl_;

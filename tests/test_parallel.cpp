@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gen/generator.hpp"
@@ -110,6 +113,172 @@ TEST(ThreadPool, NestedRegionsRunInline) {
       });
   });
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], static_cast<double>(i));
+}
+
+// ------------------------------------------------- fork-join handshake
+// The pool hands jobs to spinning or parked workers through an epoch and an
+// epoch-tagged chunk cursor; these tests drive that handshake hard: many
+// short regions back to back, regions far enough apart that every worker
+// parks, resizes between regions, and two submitting threads at once.
+
+/// `n` values of wildly different magnitudes (association order matters).
+std::vector<double> mixed_values(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-12.0, 12.0));
+  return v;
+}
+
+/// One region of `chunks` chunks over v[0, 8·chunks): records how often each
+/// chunk ran (plain ints — the handshake must publish them to the caller)
+/// and returns the chunk-ordered sum.
+double counted_region(const std::vector<double>& v, int chunks, std::vector<int>& hits) {
+  const std::size_t n = static_cast<std::size_t>(chunks) * 8;
+  const parallel::ChunkPlan plan = parallel::plan_chunks(n, 8);
+  std::vector<double> partial(static_cast<std::size_t>(plan.count));
+  const int threads = parallel::num_threads();
+  parallel::ThreadPool::instance().run(plan, [&](int c, int w) {
+    EXPECT_GE(w, 0);
+    EXPECT_LT(w, threads);
+    ++hits[static_cast<std::size_t>(c)];
+    double s = 0.0;
+    for (std::size_t i = plan.begin(c); i < plan.end(c); ++i) s += v[i];
+    partial[static_cast<std::size_t>(c)] = s;
+  });
+  double acc = 0.0;
+  for (const double p : partial) acc += p;
+  return acc;
+}
+
+/// Runs `regions` regions with 2..64 chunks; every chunk must run exactly
+/// once. Returns the per-region sums.
+std::vector<double> run_counted_regions(const std::vector<double>& v, int regions) {
+  std::vector<double> sums;
+  sums.reserve(static_cast<std::size_t>(regions));
+  std::vector<int> hits(64);
+  for (int r = 0; r < regions; ++r) {
+    const int chunks = 2 + (r * 37) % 63;
+    std::fill(hits.begin(), hits.end(), 0);
+    sums.push_back(counted_region(v, chunks, hits));
+    for (int c = 0; c < 64; ++c)
+      if (hits[static_cast<std::size_t>(c)] != (c < chunks ? 1 : 0)) {
+        ADD_FAILURE() << "region " << r << " (" << chunks << " chunks): chunk " << c
+                      << " ran " << hits[static_cast<std::size_t>(c)] << " times";
+        return sums;
+      }
+  }
+  return sums;
+}
+
+/// A region whose chunks only finish once `threads` chunks run at the same
+/// time — i.e. once every worker has joined. Returns false on a timeout (a
+/// worker that never woke).
+bool all_workers_join(int threads) {
+  std::atomic<int> arrived{0};
+  std::atomic<bool> timed_out{false};
+  parallel::ThreadPool::instance().run(parallel::plan_chunks(static_cast<std::size_t>(threads), 1),
+                                       [&](int, int) {
+    arrived.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (arrived.load() < threads) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  return !timed_out.load();
+}
+
+TEST(ThreadPool, BackToBackRegionsRunEachChunkOnceAndMatchOneThread) {
+  PoolGuard guard;
+  const std::vector<double> v = mixed_values(64 * 8, 3);
+  constexpr int kRegions = 20000;
+  parallel::set_num_threads(1);
+  const std::vector<double> ref = run_counted_regions(v, kRegions);
+  for (const int threads : {2, 4, 8}) {
+    parallel::set_num_threads(threads);
+    const std::vector<double> got = run_counted_regions(v, kRegions);
+    ASSERT_EQ(got.size(), ref.size()) << "threads=" << threads;
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)), 0)
+        << "threads=" << threads;
+  }
+}
+
+TEST(ThreadPool, ParkedWorkersWakeForSparseRegions) {
+  // Each sleep outlasts the workers' spin window, so every region starts
+  // with all workers parked; each must be woken, every time.
+  PoolGuard guard;
+  const std::vector<double> v = mixed_values(64 * 8, 4);
+  parallel::set_num_threads(1);
+  const std::vector<double> ref = run_counted_regions(v, 40);
+  for (const int threads : {2, 4}) {
+    parallel::set_num_threads(threads);
+    std::vector<int> hits(64);
+    for (int r = 0; r < 40; ++r) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      ASSERT_TRUE(all_workers_join(threads)) << "threads=" << threads << " region " << r;
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      std::fill(hits.begin(), hits.end(), 0);
+      const double s = counted_region(v, 2 + (r * 37) % 63, hits);
+      EXPECT_EQ(std::memcmp(&s, &ref[static_cast<std::size_t>(r)], sizeof s), 0)
+          << "threads=" << threads << " region " << r;
+    }
+  }
+}
+
+TEST(ThreadPool, ParkedCallerWakesWhenTheLastChunkFinishes) {
+  // The caller's chunk returns at once while the worker's outlasts the spin
+  // window, so the caller parks waiting for completion and must be woken.
+  PoolGuard guard;
+  parallel::set_num_threads(2);
+  for (int r = 0; r < 20; ++r) {
+    std::atomic<int> arrived{0};
+    std::vector<int> ran_by(2, -1);
+    parallel::ThreadPool::instance().run(parallel::plan_chunks(2, 1), [&](int c, int w) {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) std::this_thread::yield();
+      if (w != 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ran_by[static_cast<std::size_t>(c)] = w;
+    });
+    EXPECT_NE(ran_by[0], ran_by[1]) << "region " << r;
+  }
+}
+
+TEST(ThreadPool, ResizeBetweenRegions) {
+  PoolGuard guard;
+  const std::vector<double> v = mixed_values(64 * 8, 5);
+  parallel::set_num_threads(1);
+  const std::vector<double> ref = run_counted_regions(v, 500);
+  for (const int threads : {4, 2, 8}) {
+    parallel::set_num_threads(threads);
+    ASSERT_EQ(parallel::num_threads(), threads);
+    EXPECT_TRUE(all_workers_join(threads)) << "threads=" << threads;
+    const std::vector<double> got = run_counted_regions(v, 500);
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)), 0)
+        << "threads=" << threads;
+  }
+}
+
+TEST(ThreadPool, ConcurrentSubmittersGetTheirOwnResults) {
+  // Two threads submit regions at once; the submit mutex serializes whole
+  // jobs, so each thread sees only its own chunks and its own sums.
+  PoolGuard guard;
+  const std::vector<double> va = mixed_values(64 * 8, 6), vb = mixed_values(64 * 8, 7);
+  parallel::set_num_threads(1);
+  const std::vector<double> ref_a = run_counted_regions(va, 3000);
+  const std::vector<double> ref_b = run_counted_regions(vb, 3000);
+  parallel::set_num_threads(4);
+  std::vector<double> got_a, got_b;
+  std::thread other([&] { got_b = run_counted_regions(vb, 3000); });
+  got_a = run_counted_regions(va, 3000);
+  other.join();
+  ASSERT_EQ(got_a.size(), ref_a.size());
+  ASSERT_EQ(got_b.size(), ref_b.size());
+  EXPECT_EQ(std::memcmp(got_a.data(), ref_a.data(), ref_a.size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(got_b.data(), ref_b.data(), ref_b.size() * sizeof(double)), 0);
 }
 
 PlaceProblem test_problem() {

@@ -314,6 +314,43 @@ TEST_F(RouteTest, RouterCongestedResultPinned) {
   EXPECT_EQ(usage.h, 0x6e2315277c9afed5ULL);
 }
 
+TEST_F(RouteTest, RouterTiesPinned) {
+  // Square tiles of one uniform capacity: before congestion builds up, every
+  // monotone path of a segment costs the same, so the A* order on (f, tile)
+  // alone decides which of the tied paths each segment takes. Stats and
+  // per-edge usage are pinned to the bits the reference router produced.
+  Design d;
+  d.set_die({0, 0, 160, 160});
+  d.add_row(Row{0, 10, 0, 160, 1});
+  Rng rng(11);
+  for (int i = 0; i < 400; ++i) {
+    const NetId n = d.add_net("n" + std::to_string(i));
+    for (int k = 0; k < 2 + i % 3; ++k) {
+      const CellId c = d.add_cell("c" + std::to_string(i) + "_" + std::to_string(k), 2, 2);
+      d.connect(c, n);
+      d.set_center(c, {static_cast<double>(5 + 10 * rng.below(16)),
+                       static_cast<double>(5 + 10 * rng.below(16))});
+    }
+  }
+  d.finalize();
+  RoutingGrid g(Rect{0, 0, 160, 160}, 16, 16, 6, 6);
+  GlobalRouter router(g);
+  const RouteStats st = router.route(d);
+
+  BitHash usage;
+  for (int iy = 0; iy < g.ny(); ++iy)
+    for (int ix = 0; ix + 1 < g.nx(); ++ix) usage.add(g.h_use(ix, iy));
+  for (int iy = 0; iy + 1 < g.ny(); ++iy)
+    for (int ix = 0; ix < g.nx(); ++ix) usage.add(g.v_use(ix, iy));
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st.wirelength), 0x40f0446000000000ULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st.total_overflow), 0x40adce0000000000ULL);
+  EXPECT_EQ(st.overflowed_edges, 435);
+  EXPECT_EQ(st.iterations, 5);
+  EXPECT_EQ(st.segments, 798);
+  EXPECT_EQ(usage.h, 0xa41f9e17a5f4499aULL);
+}
+
 // ---------------- metrics ----------------
 
 TEST_F(RouteTest, AceBasics) {
