@@ -7,7 +7,7 @@
 #  2. Build the Bookshelf fuzzer under ASan/UBSan and run the seeded mutation
 #     corpus, so parser robustness bugs (overflows, OOB reads on truncated
 #     records) fail loudly instead of silently corrupting the Design; the
-#     SIMD, model, route and DP suites run under the same build.
+#     SIMD, model, solver, route and DP suites run under the same build.
 #
 # Usage: scripts/tsan_check.sh [build-dir] [asan-build-dir]
 #        (defaults: build-tsan build-asan)
@@ -43,8 +43,8 @@ cmake -B "$ASAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRP_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" \
-  --target rp_fuzz_bookshelf test_robustness test_simd test_model test_route \
-           test_dp
+  --target rp_fuzz_bookshelf test_robustness test_simd test_model test_solver \
+           test_route test_dp
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=0:${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:${UBSAN_OPTIONS:-}"
@@ -61,6 +61,12 @@ echo "== ASan/UBSan: test_simd =="
 # tile and edge id; an off-by-one in either must fail loudly here.
 echo "== ASan/UBSan: test_model =="
 "$ASAN_BUILD_DIR/tests/test_model"
+# The CG solver swaps its gradient buffers and asks the objective for the
+# gradient only at accepted steps, and its GlobalPlacerBitsPinned case runs
+# a whole routability-driven global placement through the split objective
+# and the lane-parallel wirelength kernel.
+echo "== ASan/UBSan: test_solver =="
+"$ASAN_BUILD_DIR/tests/test_solver"
 echo "== ASan/UBSan: test_route =="
 "$ASAN_BUILD_DIR/tests/test_route"
 echo "== ASan/UBSan: test_dp =="

@@ -48,6 +48,12 @@ void initial_positions(PlaceProblem& p, Rng& rng) {
   p.clamp_to_die();
 }
 
+/// The objective as the solver's value / gradient pair.
+CgObjective cg_objective(PlacementObjective& obj) {
+  return {[&obj](std::span<const double> z) { return obj.value(z); },
+          [&obj](std::span<double> g) { obj.gradient(g); }};
+}
+
 }  // namespace
 
 GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
@@ -83,9 +89,7 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
     std::vector<double> z = obj.pack();
     CgOptions warm = cgo;
     warm.max_iters = opt_.cg_iters / 2;
-    minimize_cg_guarded([&](std::span<const double> zz, std::span<double> g) {
-      return obj.eval(zz, g);
-    }, z, warm, stage + "/warm");
+    minimize_cg_guarded(cg_objective(obj), z, warm, stage + "/warm");
     obj.unpack(z);
   }
 
@@ -102,9 +106,7 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
     obj.set_lambda(lambda);
 
     std::vector<double> z = obj.pack();
-    minimize_cg_guarded([&](std::span<const double> zz, std::span<double> g) {
-      return obj.eval(zz, g);
-    }, z, cgo, stage);
+    minimize_cg_guarded(cg_objective(obj), z, cgo, stage);
     obj.unpack(z);
 
     ++outers_done_;

@@ -47,6 +47,12 @@ DensityModel::DensityModel(const PlaceProblem& p, const DensityConfig& cfg) {
   target_density_ = cfg.target_density;
   scale_ = Grid2D<double>(nx, ny, 1.0);
   resid_ = Grid2D<double>(nx, ny, 0.0);
+  shape_x_.reserve(p.nodes.size());
+  shape_y_.reserve(p.nodes.size());
+  for (const auto& n : p.nodes) {
+    shape_x_.push_back(bell_shape(n.w, grid_.bin_w()));
+    shape_y_.push_back(bell_shape(n.h, grid_.bin_h()));
+  }
   rebuild_fixed(p);
 }
 
@@ -80,28 +86,37 @@ void DensityModel::apply_capacity_scale(const Grid2D<double>& scale) {
   rebuild_capacity();
 }
 
-simd::BellWindow DensityModel::window(const PlaceProblem& p, std::size_t uv,
-                                      std::size_t* first_bin) const {
-  const auto& n = p.nodes[uv];
+DensityModel::BinSpan DensityModel::bin_span(const PlaceProblem& p, std::size_t uv) const {
   const double cx = p.x[uv];
   const double cy = p.y[uv];
-  const double bw = grid_.bin_w(), bh = grid_.bin_h();
-  const simd::BellShape bx = bell_shape(n.w, bw), by = bell_shape(n.h, bh);
-  const int nx = grid_.nx(), ny = grid_.ny();
-  const int ix0 = std::max(0, grid_.ix_of(cx - bx.d2) - 1);
-  const int ix1 = std::min(nx - 1, grid_.ix_of(cx + bx.d2) + 1);
-  const int iy0 = std::max(0, grid_.iy_of(cy - by.d2) - 1);
-  const int iy1 = std::min(ny - 1, grid_.iy_of(cy + by.d2) + 1);
-  *first_bin = static_cast<std::size_t>(iy0) * static_cast<std::size_t>(nx) +
-               static_cast<std::size_t>(ix0);
-  return {bx,
-          by,
-          cx - xc_[static_cast<std::size_t>(ix0)],
-          -bw,
-          static_cast<std::size_t>(ix1 - ix0 + 1),
-          cy,
-          yc_.data() + iy0,
-          static_cast<std::size_t>(iy1 - iy0 + 1)};
+  const double dx = shape_x_[uv].d2, dy = shape_y_[uv].d2;
+  return {std::max(0, grid_.ix_of(cx - dx) - 1), std::min(grid_.nx() - 1, grid_.ix_of(cx + dx) + 1),
+          std::max(0, grid_.iy_of(cy - dy) - 1), std::min(grid_.ny() - 1, grid_.iy_of(cy + dy) + 1)};
+}
+
+simd::BellWindow DensityModel::window(const PlaceProblem& p, std::size_t uv,
+                                      const BinSpan& s) const {
+  return {shape_x_[uv],
+          shape_y_[uv],
+          p.x[uv] - xc_[static_cast<std::size_t>(s.ix0)],
+          -grid_.bin_w(),
+          static_cast<std::size_t>(s.ix1 - s.ix0 + 1),
+          p.y[uv],
+          yc_.data() + s.iy0,
+          static_cast<std::size_t>(s.iy1 - s.iy0 + 1)};
+}
+
+std::size_t DensityModel::first_bin(const BinSpan& s) const {
+  return static_cast<std::size_t>(s.iy0) * static_cast<std::size_t>(grid_.nx()) +
+         static_cast<std::size_t>(s.ix0);
+}
+
+void DensityModel::size_samples() {
+  const auto workers = static_cast<std::size_t>(parallel::num_threads());
+  if (samples_.size() < workers) samples_.resize(workers);
+  const auto samples = static_cast<std::size_t>(2 * (grid_.nx() + grid_.ny()));
+  for (auto& sc : samples_)
+    if (sc.size() < samples) sc.resize(samples);
 }
 
 parallel::ChunkPlan DensityModel::node_chunks(std::size_t nn) const {
@@ -111,12 +126,9 @@ parallel::ChunkPlan DensityModel::node_chunks(std::size_t nn) const {
   return plan;
 }
 
-Grid2D<double>& DensityModel::zeroed_chunk_grid(int ci) const {
+Grid2D<double>& DensityModel::chunk_grid(int ci) const {
   Grid2D<double>& g = chunk_dens_[static_cast<std::size_t>(ci)];
-  if (g.nx() != grid_.nx() || g.ny() != grid_.ny())
-    g = Grid2D<double>(grid_.nx(), grid_.ny(), 0.0);
-  else
-    g.fill(0.0);
+  if (g.nx() != grid_.nx() || g.ny() != grid_.ny()) g = Grid2D<double>(grid_.nx(), grid_.ny(), 0.0);
   return g;
 }
 
@@ -124,6 +136,14 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
                           std::span<double> gy) {
   if (gx.size() != p.nodes.size() || gy.size() != p.nodes.size())
     throw std::runtime_error("density eval: gradient span size mismatch");
+  const double penalty = value(p);
+  gradient(p, gx, gy);
+  return penalty;
+}
+
+double DensityModel::value(const PlaceProblem& p) {
+  if (p.nodes.size() != shape_x_.size())
+    throw std::runtime_error("density eval: problem node count differs from the model's");
   RP_PROFILE_REGION("kernel/density");
   const auto nx = static_cast<std::size_t>(grid_.nx());
   const auto nn = static_cast<std::size_t>(p.num_nodes());
@@ -134,11 +154,8 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
   // node into the worker's buffer, and the window's bin rows — contiguous
   // in ix — are updated or read in row order.
   csum_.resize(nn);
-  const auto workers = static_cast<std::size_t>(parallel::num_threads());
-  if (samples_.size() < workers) samples_.resize(workers);
-  const std::size_t samples = 2 * (nx + static_cast<std::size_t>(grid_.ny()));
-  for (auto& sc : samples_)
-    if (sc.size() < samples) sc.resize(samples);
+  span_.resize(nn);
+  size_samples();
 
   // Pass 1: accumulate smoothed density, one scratch grid per node chunk;
   // the per-node normalization c_v is cached for pass 2.
@@ -146,28 +163,32 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
   parallel::ThreadPool::instance().run(plan, [&](int ci, int worker) {
     const simd::Ops& ops = simd::ops();
     double* scratch = samples_[static_cast<std::size_t>(worker)].data();
-    double* g = zeroed_chunk_grid(ci).data().data();
+    double* g = chunk_grid(ci).data().data();
     for (std::size_t uv = plan.begin(ci); uv < plan.end(ci); ++uv) {
       csum_[uv] = 0.0;
       const auto& n = p.nodes[uv];
       if (n.fixed) continue;
-      std::size_t first = 0;
-      const simd::BellWindow w = window(p, uv, &first);
-      csum_[uv] = ops.bell_splat(w, n.area() * p.inflate[uv], g + first, nx, scratch);
+      span_[uv] = bin_span(p, uv);
+      csum_[uv] = ops.bell_splat(window(p, uv, span_[uv]), n.area() * p.inflate[uv],
+                                 g + first_bin(span_[uv]), nx, scratch);
     }
   });
 
   // One pass over the bins: density = chunk grids summed per bin in
-  // ascending chunk order, residual (D-C)^+, and the penalty Σ residual²
-  // (a chunk-ordered reduction over bins).
+  // ascending chunk order (clearing them for the next pass 1), residual
+  // (D-C)^+, and the penalty Σ residual² (a chunk-ordered reduction over
+  // bins).
   const double penalty = parallel::parallel_reduce(
       resid_.size(), kBinGrain, 0.0,
       [&](std::size_t b, std::size_t e, int) -> double {
         double* r = resid_.data().data();
         std::fill(r + b, r + e, 0.0);
         for (int ci = 0; ci < plan.count; ++ci) {
-          const double* c = chunk_dens_[static_cast<std::size_t>(ci)].data().data();
-          for (std::size_t i = b; i < e; ++i) r[i] += c[i];
+          double* c = chunk_dens_[static_cast<std::size_t>(ci)].data().data();
+          for (std::size_t i = b; i < e; ++i) {
+            r[i] += c[i];
+            c[i] = 0.0;
+          }
         }
         const double* cap = cap_.data().data();
         double part = 0.0;
@@ -178,7 +199,18 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
         return part;
       },
       [](double a, double b) { return a + b; });
+  return penalty;
+}
 
+void DensityModel::gradient(const PlaceProblem& p, std::span<double> gx,
+                            std::span<double> gy) {
+  if (gx.size() != p.nodes.size() || gy.size() != p.nodes.size() ||
+      csum_.size() != p.nodes.size())
+    throw std::runtime_error("density gradient: size mismatch");
+  RP_PROFILE_REGION("kernel/density");
+  const auto nx = static_cast<std::size_t>(grid_.nx());
+  const auto nn = static_cast<std::size_t>(p.num_nodes());
+  size_samples();
   // Pass 2: gradients.  dN/dx_v = Σ_b 2·R_b · c_v · px'(cx-xb) · py.
   // Embarrassingly parallel: every node writes only its own gradient slot.
   parallel::parallel_for(nn, kNodeGrain, [&](std::size_t b, std::size_t e, int worker) {
@@ -187,15 +219,13 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
     const double* resid = resid_.data().data();
     for (std::size_t uv = b; uv < e; ++uv) {
       if (p.nodes[uv].fixed || csum_[uv] == 0.0) continue;
-      std::size_t first = 0;
-      const simd::BellWindow w = window(p, uv, &first);
       double dgx = 0.0, dgy = 0.0;
-      ops.bell_gather(w, csum_[uv], resid + first, nx, scratch, &dgx, &dgy);
+      ops.bell_gather(window(p, uv, span_[uv]), csum_[uv], resid + first_bin(span_[uv]), nx,
+                      scratch, &dgx, &dgy);
       gx[uv] += dgx;
       gy[uv] += dgy;
     }
   });
-  return penalty;
 }
 
 Grid2D<double> DensityModel::rasterized_density(const PlaceProblem& p) const {
@@ -203,7 +233,7 @@ Grid2D<double> DensityModel::rasterized_density(const PlaceProblem& p) const {
   const auto nn = static_cast<std::size_t>(p.num_nodes());
   const parallel::ChunkPlan plan = node_chunks(nn);
   parallel::ThreadPool::instance().run(plan, [&](int ci, int) {
-    Grid2D<double>& pg = zeroed_chunk_grid(ci);
+    Grid2D<double>& pg = chunk_grid(ci);
     for (std::size_t uv = plan.begin(ci); uv < plan.end(ci); ++uv) {
       const auto& n = p.nodes[uv];
       if (n.fixed) continue;
@@ -218,7 +248,11 @@ Grid2D<double> DensityModel::rasterized_density(const PlaceProblem& p) const {
   parallel::parallel_for(g.size(), kBinGrain, [&](std::size_t b, std::size_t e, int) {
     for (std::size_t i = b; i < e; ++i) {
       double s = 0.0;
-      for (int ci = 0; ci < plan.count; ++ci) s += chunk_dens_[static_cast<std::size_t>(ci)].data()[i];
+      for (int ci = 0; ci < plan.count; ++ci) {
+        double& c = chunk_dens_[static_cast<std::size_t>(ci)].data()[i];
+        s += c;
+        c = 0.0;
+      }
       g.data()[i] = s;
     }
   });

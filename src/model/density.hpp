@@ -44,7 +44,15 @@ class DensityModel {
   DensityModel(const PlaceProblem& p, const DensityConfig& cfg);
 
   /// Penalty value; accumulates d(penalty)/dx into gx/gy (movable nodes only).
+  /// The same bits as value(p) followed by gradient(p, gx, gy).
   double eval(const PlaceProblem& p, std::span<double> gx, std::span<double> gy);
+
+  /// Penalty value (density pass 1 and the per-bin reduction). Keeps the
+  /// per-node normalization and the bin residuals for gradient().
+  double value(const PlaceProblem& p);
+  /// Accumulates d(penalty)/dx into gx/gy (density pass 2) at the
+  /// coordinates of the last value() call, which p must still hold.
+  void gradient(const PlaceProblem& p, std::span<double> gx, std::span<double> gy);
 
   /// Exact total overflow: Σ_b (rasterized_D_b - C_b)^+ / movable area.
   double overflow(const PlaceProblem& p) const;
@@ -75,24 +83,39 @@ class DensityModel {
   // Pass-1 scratch: one accumulation grid per node CHUNK (chunking depends
   // only on the node count, so the chunk-ordered per-bin reduction is
   // bitwise identical for any thread count). rasterized_density() reuses
-  // the same grids for its per-chunk partials.
+  // the same grids for its per-chunk partials. All zero between calls: the
+  // per-bin reduction that reads a grid clears it.
   mutable std::vector<Grid2D<double>> chunk_dens_;
+  /// A node's bell window in bins: its support plus one padding bin per
+  /// side, clamped to the grid.
+  struct BinSpan {
+    int ix0, ix1, iy0, iy1;
+  };
   std::vector<double> csum_;   ///< Per-node bell normalization (pass 1 → 2).
+  std::vector<BinSpan> span_;  ///< Per-node window of pass 1, reused by pass 2.
+  /// Per-node x and y bell shapes. Node sizes are fixed for a model's
+  /// lifetime (inflation scales only the charged area), so they are built
+  /// once, with the model.
+  std::vector<simd::BellShape> shape_x_, shape_y_;
 
   // Per-worker sample buffers for the per-node simd kernels bell_splat and
   // bell_gather: one node's px, px' (nx each) and py, py' (ny each), each
   // sampled once per node and pass.
   std::vector<std::vector<double>> samples_;
 
-  /// Node uv's bell window (its support plus one padding bin per side,
-  /// clamped to the grid) and the bin index of the window's first bin.
-  simd::BellWindow window(const PlaceProblem& p, std::size_t uv,
-                          std::size_t* first_bin) const;
+  /// Node uv's window at its current coordinates.
+  BinSpan bin_span(const PlaceProblem& p, std::size_t uv) const;
+  /// The kernels' view of node uv's window s.
+  simd::BellWindow window(const PlaceProblem& p, std::size_t uv, const BinSpan& s) const;
+  /// Bin index of window s's first bin.
+  std::size_t first_bin(const BinSpan& s) const;
+  /// Grows samples_ to one buffer per pool worker.
+  void size_samples();
   /// The node chunk plan of pass 1 and rasterization, with chunk_dens_
   /// grown to one grid per chunk.
   parallel::ChunkPlan node_chunks(std::size_t nn) const;
-  /// Node chunk ci's grid, zeroed.
-  Grid2D<double>& zeroed_chunk_grid(int ci) const;
+  /// Node chunk ci's grid (all zero; allocated on first use).
+  Grid2D<double>& chunk_grid(int ci) const;
   void rebuild_capacity();
 };
 

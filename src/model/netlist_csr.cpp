@@ -27,10 +27,7 @@ void build_incidence(NetlistCsr& c) {
 
 void size_buffers(NetlistCsr& c) {
   const auto np = static_cast<std::size_t>(c.num_pins);
-  c.pin_cx.resize(np);
-  c.pin_cy.resize(np);
-  c.pin_gx.resize(np);
-  c.pin_gy.resize(np);
+  c.pin_g.resize(2 * np);
   c.max_net_degree = 0;
   for (int n = 0; n < c.num_nets; ++n)
     c.max_net_degree = std::max(c.max_net_degree, c.net_degree(n));
@@ -44,7 +41,6 @@ NetlistCsr NetlistCsr::from_problem(const PlaceProblem& p) {
   c.num_nets = p.num_nets();
   c.num_pins = static_cast<int>(p.pins.size());
   c.net_offset.resize(static_cast<std::size_t>(c.num_nets) + 1);
-  c.net_weight.resize(static_cast<std::size_t>(c.num_nets));
   // PlaceProblem pins are already grouped by net in net order; reuse the
   // ranges directly (and assert the invariant we rely on).
   int expect = 0;
@@ -52,21 +48,14 @@ NetlistCsr NetlistCsr::from_problem(const PlaceProblem& p) {
     const PlaceNet& net = p.nets[static_cast<std::size_t>(n)];
     RP_ASSERT(net.pin_begin == expect, "PlaceProblem pins not contiguous by net");
     c.net_offset[static_cast<std::size_t>(n)] = net.pin_begin;
-    c.net_weight[static_cast<std::size_t>(n)] = net.weight;
     expect = net.pin_end;
   }
   c.net_offset[static_cast<std::size_t>(c.num_nets)] = expect;
   RP_ASSERT(expect == c.num_pins, "PlaceProblem pin ranges do not cover pins");
 
   c.pin_node.resize(static_cast<std::size_t>(c.num_pins));
-  c.pin_ox.resize(static_cast<std::size_t>(c.num_pins));
-  c.pin_oy.resize(static_cast<std::size_t>(c.num_pins));
-  for (int i = 0; i < c.num_pins; ++i) {
-    const PlacePin& pin = p.pins[static_cast<std::size_t>(i)];
-    c.pin_node[static_cast<std::size_t>(i)] = pin.node;
-    c.pin_ox[static_cast<std::size_t>(i)] = pin.ox;
-    c.pin_oy[static_cast<std::size_t>(i)] = pin.oy;
-  }
+  for (int i = 0; i < c.num_pins; ++i)
+    c.pin_node[static_cast<std::size_t>(i)] = p.pins[static_cast<std::size_t>(i)].node;
   build_incidence(c);
   size_buffers(c);
   return c;
@@ -77,11 +66,9 @@ NetlistCsr NetlistCsr::from_design(const Design& d) {
   c.num_nodes = d.num_cells();
   c.num_nets = d.num_nets();
   c.net_offset.resize(static_cast<std::size_t>(c.num_nets) + 1);
-  c.net_weight.resize(static_cast<std::size_t>(c.num_nets));
   int total = 0;
   for (NetId n = 0; n < d.num_nets(); ++n) {
     c.net_offset[static_cast<std::size_t>(n)] = total;
-    c.net_weight[static_cast<std::size_t>(n)] = d.net(n).weight;
     total += d.net(n).degree();
   }
   c.net_offset[static_cast<std::size_t>(c.num_nets)] = total;
@@ -105,18 +92,9 @@ NetlistCsr NetlistCsr::from_design(const Design& d) {
   return c;
 }
 
-void NetlistCsr::gather_coords(const PlaceProblem& p) {
-  parallel::parallel_for(static_cast<std::size_t>(num_pins), 8192,
-                         [&](std::size_t b, std::size_t e, int) {
-                           for (std::size_t i = b; i < e; ++i) {
-                             const auto v = static_cast<std::size_t>(pin_node[i]);
-                             pin_cx[i] = p.x[v] + pin_ox[i];
-                             pin_cy[i] = p.y[v] + pin_oy[i];
-                           }
-                         });
-}
-
 void NetlistCsr::gather_coords(const Design& d) {
+  pin_cx.resize(static_cast<std::size_t>(num_pins));
+  pin_cy.resize(static_cast<std::size_t>(num_pins));
   parallel::parallel_for(static_cast<std::size_t>(num_pins), 8192,
                          [&](std::size_t b, std::size_t e, int) {
                            for (std::size_t i = b; i < e; ++i) {

@@ -54,30 +54,43 @@ void PlacementObjective::unpack(std::span<const double> z) {
 }
 
 double PlacementObjective::eval(std::span<const double> z, std::span<double> grad) {
+  const double f = value(z);
+  gradient(grad);
+  return f;
+}
+
+double PlacementObjective::value(std::span<const double> z) {
   RP_PROFILE_REGION("kernel/objective");
   unpack(z);
-  const bool with_density = lambda_ != 0.0;
   const std::size_t nn = p_.nodes.size();
   parallel::parallel_for(nn, kElemGrain, [&](std::size_t b, std::size_t e, int) {
     std::fill(gx_.begin() + b, gx_.begin() + e, 0.0);
     std::fill(gy_.begin() + b, gy_.begin() + e, 0.0);
-    if (with_density) {
-      std::fill(dx_.begin() + b, dx_.begin() + e, 0.0);
-      std::fill(dy_.begin() + b, dy_.begin() + e, 0.0);
-    }
   });
   last_wl_ = wl_.eval(p_, gx_, gy_);
-  last_density_ = with_density ? dens_.eval(p_, dx_, dy_) : 0.0;
+  last_density_ = lambda_ != 0.0 ? dens_.value(p_) : 0.0;
+  return last_wl_ + lambda_ * last_density_;
+}
+
+void PlacementObjective::gradient(std::span<double> grad) {
+  RP_PROFILE_REGION("kernel/objective");
+  const bool with_density = lambda_ != 0.0;
+  if (with_density) dens_.gradient(p_, dx_, dy_);
   // grad = ∂WL + λ·∂N, packed (the λ == 0 path never reads dx_/dy_).
   const std::size_t m = movable_.size();
   parallel::parallel_for(m, kElemGrain, [&](std::size_t b, std::size_t e, int) {
     for (std::size_t i = b; i < e; ++i) {
       const auto v = static_cast<std::size_t>(movable_[i]);
-      grad[i] = with_density ? gx_[v] + lambda_ * dx_[v] : gx_[v];
-      grad[m + i] = with_density ? gy_[v] + lambda_ * dy_[v] : gy_[v];
+      if (with_density) {
+        grad[i] = gx_[v] + lambda_ * dx_[v];
+        grad[m + i] = gy_[v] + lambda_ * dy_[v];
+        dx_[v] = dy_[v] = 0.0;
+      } else {
+        grad[i] = gx_[v];
+        grad[m + i] = gy_[v];
+      }
     }
   });
-  return last_wl_ + lambda_ * last_density_;
 }
 
 double PlacementObjective::balanced_lambda() {

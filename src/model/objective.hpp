@@ -28,9 +28,17 @@ class PlacementObjective {
   /// Write a packed vector into the problem (and clamp to the die).
   void unpack(std::span<const double> z);
 
-  /// f(z) and its gradient. Also records the last separate WL / density
-  /// values for diagnostics.
+  /// f(z) and its gradient: value(z), then gradient(grad).
   double eval(std::span<const double> z, std::span<double> grad);
+
+  /// f(z): writes z into the problem, evaluates the wirelength (with its
+  /// gradient, which the same kernel yields) and the density penalty
+  /// without its gradient. Records the separate WL / density values for
+  /// diagnostics.
+  double value(std::span<const double> z);
+  /// ∇f at the point of the last value() call: the density gradient (pass
+  /// 2 over the residuals value() left) combined with the wirelength's.
+  void gradient(std::span<double> grad);
 
   /// λ such that ||∂WL||₁ == λ·||∂N||₁ at the current coordinates.
   double balanced_lambda();
@@ -54,7 +62,10 @@ class PlacementObjective {
   double last_wl_ = 0.0;
   double last_density_ = 0.0;
   std::vector<double> gx_, gy_;  // full-size scratch gradients
-  std::vector<double> dx_, dy_;  // density-gradient scratch (λ != 0 path)
+  // Density-gradient scratch (λ != 0 path). All zero between gradient()
+  // calls: the density model writes only movable nodes, and the combine
+  // clears each slot it reads.
+  std::vector<double> dx_, dy_;
 };
 
 }  // namespace rp

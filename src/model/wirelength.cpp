@@ -1,6 +1,7 @@
 #include "model/wirelength.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -59,85 +60,197 @@ inline double finish_axis(const double* c, std::size_t n, double gamma,
   }
 }
 
-/// Nets [b, e) as one batch: (1) stage every pin's exp arguments, (2) one
-/// dispatched exp over the chunk's contiguous pin range, (3) per-net sums,
-/// dots and gradients. Returns the chunk's weighted value, accumulated per
-/// net as x then y; with WithGrad each pin's gradient lands in
-/// csr.pin_gx/pin_gy, scaled by the net weight.
-template <Smooth M, bool WithGrad>
-double eval_chunk(NetlistCsr& csr, std::size_t b, std::size_t e, double gamma,
-                  WlThreadScratch& s) {
-  const auto p0 = static_cast<std::size_t>(csr.net_offset[b]);
-  const std::size_t pins = static_cast<std::size_t>(csr.net_offset[e]) - p0;
-  s.ensure(pins, e - b);
-  const double ig = 1.0 / gamma;
-  const double* cx = csr.pin_cx.data() + p0;
-  const double* cy = csr.pin_cy.data() + p0;
-  double* epx = s.exps.data();
-  double* emx = epx + pins;
-  double* epy = emx + pins;
-  double* emy = epy + pins;
+constexpr auto kLaneMax = static_cast<std::size_t>(WirelengthModel::kLaneMaxDegree);
 
-  for (std::size_t n = b; n < e; ++n) {
-    const auto off = static_cast<std::size_t>(csr.net_offset[n]) - p0;
-    const auto deg = static_cast<std::size_t>(csr.net_offset[n + 1]) - p0 - off;
-    double* ext = s.extent.data() + 4 * (n - b);
-    if (deg < 2) {
-      // A lone pin's slots still go through the batched exp; keep them valid.
-      for (std::size_t i = off; i < off + deg; ++i) epx[i] = emx[i] = epy[i] = emy[i] = 0.0;
-      continue;
-    }
-    stage_axis(cx + off, deg, ig, epx + off, emx + off, ext);
-    stage_axis(cy + off, deg, ig, epy + off, emy + off, ext + 2);
+/// One evaluation unit of a chunk: a lane group (up to four nets of one
+/// degree <= kLaneMaxDegree, padded to four lanes) or one larger net, with
+/// its slices of the chunk scratch. A lane group's pin coordinates are an x
+/// then a y block of 4·deg (pin-major), its exp arguments 4·deg ep then
+/// 4·deg em for x, then the same for y, its extremes 8 per axis; a larger
+/// net has deg coordinates per axis, exp arguments x+, x−, y+, y−
+/// of deg each, and extremes x min, x max, y min, y max.
+struct Unit {
+  const int* nets;    ///< The unit's first net in the layout order.
+  std::size_t lanes;  ///< Nets in the unit.
+  std::size_t deg;
+  double* c;
+  double* e;
+  double* ext;
+};
+
+/// Scratch a unit of degree deg takes: coordinates, exp arguments, extremes.
+struct UnitSize {
+  std::size_t coords, exps, ext;
+};
+UnitSize unit_size(std::size_t deg) {
+  if (deg > kLaneMax) return {2 * deg, 4 * deg, 4};
+  return {8 * deg, 16 * deg, 16};
+}
+
+/// Walk chunk k's nets in layout order as evaluation units over scratch s.
+template <typename Fn>
+void for_each_unit(const NetlistCsr& csr, const WlLaneLayout& lay, int k,
+                   WlThreadScratch& s, Fn&& fn) {
+  const int* order = lay.order.data();
+  const auto e = lay.begin[static_cast<std::size_t>(k) + 1];
+  Unit u{nullptr, 0, 0, s.coords.data(), s.exps.data(), s.extent.data()};
+  for (std::size_t i = lay.begin[static_cast<std::size_t>(k)]; i < e; i += u.lanes) {
+    u.nets = order + i;
+    u.deg = static_cast<std::size_t>(csr.net_degree(order[i]));
+    u.lanes = 1;
+    if (u.deg <= kLaneMax)
+      while (u.lanes < 4 && i + u.lanes < e &&
+             static_cast<std::size_t>(csr.net_degree(order[i + u.lanes])) == u.deg)
+        ++u.lanes;
+    fn(u);
+    const UnitSize z = unit_size(u.deg);
+    u.c += z.coords;
+    u.e += z.exps;
+    u.ext += z.ext;
   }
+}
 
-  simd::ops().exp_nonpos(s.exps.data(), 4 * pins, s.exps.data());
+/// Chunk k (nets [b, e)) as one batch: (1) check the problem's net pin
+/// ranges against the cached view, (2) stage every unit's pin coordinates,
+/// checking each pin's node, and exp arguments, (3) one dispatched exp over
+/// all of the chunk's arguments, (4) finish every unit, (5) sum the
+/// weighted per-net values in net order, x then y. With WithGrad each pin's
+/// gradient lands in csr.pin_g, scaled by the net weight. Returns
+/// false, having written no pin slot, when the view is stale. (Pins of nets
+/// with fewer than 2 pins are never staged: their slots hold +0, and a +0
+/// in any node's gather sum leaves its bits unchanged, so their nodes need
+/// no check.)
+template <Smooth M, bool WithGrad>
+bool eval_chunk(const PlaceProblem& p, NetlistCsr& csr, const WlLaneLayout& lay,
+                int k, std::size_t b, std::size_t e, double gamma,
+                WlThreadScratch& s, double* part_out) {
+  const int* off = csr.net_offset.data();
+  for (std::size_t n = b; n < e; ++n)
+    if (p.nets[n].pin_begin != off[n] || p.nets[n].pin_end != off[n + 1]) return false;
+
+  const auto kk = static_cast<std::size_t>(k);
+  s.ensure(lay.coords[kk], lay.exps[kk], lay.extents[kk], e - b,
+           static_cast<std::size_t>(csr.max_net_degree));
+  const simd::Ops& ops = simd::ops();
+  const double ig = 1.0 / gamma;
+  // One axis of a lane group: coordinates, exp arguments (ep then em),
+  // extremes.
+  const auto axis = [&](const Unit& u, int y) {
+    const auto a = static_cast<std::size_t>(y);
+    double* ep = u.e + a * 8 * u.deg;
+    return simd::NetLanes{u.c + a * 4 * u.deg, ep, ep + 4 * u.deg, u.ext + 8 * a, u.deg,
+                          gamma, ig, M == Smooth::Wa};
+  };
+
+  bool fresh = true;
+  // Pin coordinates of net n into cx[0], cx[step], ... and cy likewise.
+  const auto stage_pins = [&](int n, std::size_t deg, std::size_t step, double* cx,
+                              double* cy) {
+    const PlacePin* pin = p.pins.data() + off[n];
+    const int* node = csr.pin_node.data() + off[n];
+    for (std::size_t i = 0; i < deg; ++i) {
+      fresh &= pin[i].node == node[i];
+      const auto v = static_cast<std::size_t>(node[i]);
+      cx[step * i] = p.x[v] + pin[i].ox;
+      cy[step * i] = p.y[v] + pin[i].oy;
+    }
+  };
+  for_each_unit(csr, lay, k, s, [&](const Unit& u) {
+    const std::size_t d = u.deg;
+    if (d > kLaneMax) {
+      stage_pins(u.nets[0], d, 1, u.c, u.c + d);
+      stage_axis(u.c, d, ig, u.e, u.e + d, u.ext);
+      stage_axis(u.c + d, d, ig, u.e + 2 * d, u.e + 3 * d, u.ext + 2);
+      return;
+    }
+    for (std::size_t j = 0; j < u.lanes; ++j) stage_pins(u.nets[j], d, 4, u.c + j, u.c + 4 * d + j);
+    for (std::size_t j = u.lanes; j < 4; ++j)  // padding: any finite coordinates
+      for (std::size_t i = 0; i < d; ++i) u.c[4 * i + j] = u.c[4 * (d + i) + j] = 0.0;
+    ops.net_lanes_stage(axis(u, 0));
+    ops.net_lanes_stage(axis(u, 1));
+  });
+  if (!fresh) return false;
+
+  ops.exp_nonpos(s.exps.data(), lay.exps[kk], s.exps.data());
+
+  double* val = s.value.data();
+  for_each_unit(csr, lay, k, s, [&](const Unit& u) {
+    const std::size_t d = u.deg;
+    if (d > kLaneMax) {
+      const auto n = static_cast<std::size_t>(u.nets[0]);
+      double* dcx = WithGrad ? s.grad.data() : nullptr;
+      double* dcy = WithGrad ? dcx + d : nullptr;
+      val[2 * (n - b)] =
+          finish_axis<M, WithGrad>(u.c, d, gamma, ig, u.e, u.e + d, u.ext, dcx);
+      val[2 * (n - b) + 1] = finish_axis<M, WithGrad>(u.c + d, d, gamma, ig, u.e + 2 * d,
+                                                      u.e + 3 * d, u.ext + 2, dcy);
+      if constexpr (WithGrad) {
+        double* g = csr.pin_g.data() + 2 * static_cast<std::size_t>(off[n]);
+        const double w = p.nets[n].weight;
+        for (std::size_t i = 0; i < d; ++i) {
+          g[2 * i] = w != 1.0 ? dcx[i] * w : dcx[i];
+          g[2 * i + 1] = w != 1.0 ? dcy[i] * w : dcy[i];
+        }
+      }
+      return;
+    }
+    double vx[4], vy[4];
+    double* dcx = WithGrad ? s.grad.data() : nullptr;
+    double* dcy = WithGrad ? dcx + 4 * d : nullptr;
+    ops.net_lanes_finish(axis(u, 0), vx, dcx);
+    ops.net_lanes_finish(axis(u, 1), vy, dcy);
+    for (std::size_t j = 0; j < u.lanes; ++j) {
+      const auto n = static_cast<std::size_t>(u.nets[j]);
+      val[2 * (n - b)] = vx[j];
+      val[2 * (n - b) + 1] = vy[j];
+      if constexpr (WithGrad) {
+        double* g = csr.pin_g.data() + 2 * static_cast<std::size_t>(off[n]);
+        const double w = p.nets[n].weight;
+        for (std::size_t i = 0; i < d; ++i) {
+          g[2 * i] = w != 1.0 ? dcx[4 * i + j] * w : dcx[4 * i + j];
+          g[2 * i + 1] = w != 1.0 ? dcy[4 * i + j] * w : dcy[4 * i + j];
+        }
+      }
+    }
+  });
 
   double part = 0.0;
   for (std::size_t n = b; n < e; ++n) {
-    const auto off = static_cast<std::size_t>(csr.net_offset[n]) - p0;
-    const auto deg = static_cast<std::size_t>(csr.net_offset[n + 1]) - p0 - off;
-    double* dgx = WithGrad ? csr.pin_gx.data() + p0 + off : nullptr;
-    double* dgy = WithGrad ? csr.pin_gy.data() + p0 + off : nullptr;
-    if (deg < 2) {
-      if constexpr (WithGrad)
-        for (std::size_t i = 0; i < deg; ++i) dgx[i] = dgy[i] = 0.0;
-      continue;
-    }
-    const double w = csr.net_weight[n];
-    const double* ext = s.extent.data() + 4 * (n - b);
-    part += w * finish_axis<M, WithGrad>(cx + off, deg, gamma, ig, epx + off,
-                                         emx + off, ext, dgx);
-    part += w * finish_axis<M, WithGrad>(cy + off, deg, gamma, ig, epy + off,
-                                         emy + off, ext + 2, dgy);
-    if (WithGrad && w != 1.0)
-      for (std::size_t i = 0; i < deg; ++i) {
-        dgx[i] *= w;
-        dgy[i] *= w;
-      }
+    if (off[n + 1] - off[n] < 2) continue;
+    const double w = p.nets[n].weight;
+    part += w * val[2 * (n - b)];
+    part += w * val[2 * (n - b) + 1];
   }
-  return part;
+  *part_out = part;
+  return true;
 }
 
-/// Parallel net-chunk evaluation. With WithGrad, per-pin gradients land in
-/// csr.pin_gx/pin_gy (each pin written by exactly one chunk) and a second
-/// parallel pass gathers them into gx/gy per node in ascending pin order —
-/// both passes bitwise independent of the thread count.
+/// Parallel net-chunk evaluation; false when a chunk found the view stale.
+/// With WithGrad, per-pin gradients land in csr.pin_g (each pin
+/// written by exactly one chunk) and a second parallel pass gathers them
+/// into gx/gy per node in ascending pin order — both passes bitwise
+/// independent of the thread count.
 template <Smooth M, bool WithGrad>
-double eval_csr(const PlaceProblem& p, NetlistCsr& c,
-                std::vector<WlThreadScratch>& scratch, std::span<double> gx,
-                std::span<double> gy, double gamma) {
-  if (WithGrad && (gx.size() != p.nodes.size() || gy.size() != p.nodes.size()))
-    throw std::runtime_error("wirelength eval: gradient span size mismatch");
-  RP_PROFILE_REGION("kernel/wirelength");
-  c.gather_coords(p);
-  const double total = parallel::parallel_reduce(
+bool eval_csr(const PlaceProblem& p, NetlistCsr& c, const WlLaneLayout& lay,
+              std::vector<WlThreadScratch>& scratch, std::span<double> gx,
+              std::span<double> gy, double gamma, double* total) {
+  std::atomic<bool> stale{false};
+  const double sum = parallel::parallel_reduce(
       static_cast<std::size_t>(c.num_nets), WirelengthModel::kNetGrain, 0.0,
-      [&](std::size_t b, std::size_t e, int worker) -> double {
-        return eval_chunk<M, WithGrad>(c, b, e, gamma,
-                                       scratch[static_cast<std::size_t>(worker)]);
+      [&](std::size_t b, std::size_t e, int worker) {
+        // The layout's chunk k is the one that starts at net b.
+        const auto k = static_cast<int>(
+            std::upper_bound(lay.first_net.begin(), lay.first_net.end(), b) -
+            lay.first_net.begin() - 1);
+        double part = 0.0;
+        if (!eval_chunk<M, WithGrad>(p, c, lay, k, b, e, gamma,
+                                     scratch[static_cast<std::size_t>(worker)], &part))
+          stale = true;
+        return part;
       },
-      [](double a, double b) { return a + b; });
+      [](double x, double y) { return x + y; });
+  if (stale) return false;
+  *total = sum;
   if (WithGrad) {
     parallel::parallel_for(
         static_cast<std::size_t>(c.num_nodes), kNodeGrain,
@@ -148,33 +261,73 @@ double eval_csr(const PlaceProblem& p, NetlistCsr& c,
             double sx = 0.0, sy = 0.0;
             for (int k = k0; k < k1; ++k) {
               const auto pin = static_cast<std::size_t>(c.node_pin[static_cast<std::size_t>(k)]);
-              sx += c.pin_gx[pin];
-              sy += c.pin_gy[pin];
+              sx += c.pin_g[2 * pin];
+              sy += c.pin_g[2 * pin + 1];
             }
             gx[v] += sx;
             gy[v] += sy;
           }
         });
   }
-  return total;
+  return true;
 }
 
 }  // namespace
 
-NetlistCsr& WirelengthModel::prepare(const PlaceProblem& p) const {
-  if (!csr_valid_ || csr_.num_nodes != p.num_nodes() ||
+void WlThreadScratch::ensure(std::size_t ncoords, std::size_t nexps, std::size_t extents,
+                             std::size_t nets, std::size_t max_degree) {
+  if (coords.size() < ncoords) coords.resize(ncoords);
+  if (exps.size() < nexps) exps.resize(nexps);
+  if (extent.size() < extents) extent.resize(extents);
+  if (value.size() < 2 * nets) value.resize(2 * nets);
+  const std::size_t unit_grad = std::max(8 * kLaneMax, 2 * max_degree);
+  if (grad.size() < unit_grad) grad.resize(unit_grad);
+}
+
+NetlistCsr& WirelengthModel::prepare(const PlaceProblem& p, bool rebuild) const {
+  if (rebuild || !csr_valid_ || csr_.num_nodes != p.num_nodes() ||
       csr_.num_nets != p.num_nets() ||
       csr_.num_pins != static_cast<int>(p.pins.size())) {
     csr_ = NetlistCsr::from_problem(p);
     csr_valid_ = true;
     const parallel::ChunkPlan plan =
         parallel::plan_chunks(static_cast<std::size_t>(csr_.num_nets), kNetGrain);
-    chunk_pins_ = chunk_nets_ = 0;
+    layout_ = WlLaneLayout{};
+    layout_.begin.push_back(0);
+    layout_.first_net.push_back(0);
+    chunk_coords_ = chunk_exps_ = chunk_extents_ = chunk_nets_ = 0;
     for (int k = 0; k < plan.count; ++k) {
       const std::size_t b = plan.begin(k), e = plan.end(k);
+      // Lane nets by (degree, net id), then the larger nets by net id.
+      std::vector<int> by_degree[kLaneMaxDegree + 1];
+      std::vector<int> large;
+      for (std::size_t n = b; n < e; ++n) {
+        const int deg = csr_.net_degree(static_cast<int>(n));
+        if (deg > kLaneMaxDegree) large.push_back(static_cast<int>(n));
+        else if (deg >= 2) by_degree[deg].push_back(static_cast<int>(n));
+      }
+      UnitSize total{0, 0, 0};
+      const auto add = [&](std::size_t deg, std::size_t units) {
+        const UnitSize z = unit_size(deg);
+        total.coords += units * z.coords;
+        total.exps += units * z.exps;
+        total.ext += units * z.ext;
+      };
+      for (int deg = 2; deg <= kLaneMaxDegree; ++deg) {
+        add(static_cast<std::size_t>(deg), (by_degree[deg].size() + 3) / 4);
+        layout_.order.insert(layout_.order.end(), by_degree[deg].begin(), by_degree[deg].end());
+      }
+      for (const int n : large) add(static_cast<std::size_t>(csr_.net_degree(n)), 1);
+      layout_.order.insert(layout_.order.end(), large.begin(), large.end());
+      layout_.begin.push_back(layout_.order.size());
+      layout_.first_net.push_back(e);
+      layout_.coords.push_back(total.coords);
+      layout_.exps.push_back(total.exps);
+      layout_.extents.push_back(total.ext);
+      chunk_coords_ = std::max(chunk_coords_, total.coords);
+      chunk_exps_ = std::max(chunk_exps_, total.exps);
+      chunk_extents_ = std::max(chunk_extents_, total.ext);
       chunk_nets_ = std::max(chunk_nets_, e - b);
-      chunk_pins_ = std::max(
-          chunk_pins_, static_cast<std::size_t>(csr_.net_offset[e] - csr_.net_offset[b]));
     }
   }
   const auto threads = static_cast<std::size_t>(parallel::num_threads());
@@ -183,27 +336,46 @@ NetlistCsr& WirelengthModel::prepare(const PlaceProblem& p) const {
   // reallocate; the per-chunk ensure() in the kernel stays as the defensive
   // backstop (a larger design on a reused pool must never index a stale
   // capacity).
-  for (auto& s : scratch_) s.ensure(chunk_pins_, chunk_nets_);
-  RP_COUNT("parallel.wl_evals", 1);
+  for (auto& s : scratch_)
+    s.ensure(chunk_coords_, chunk_exps_, chunk_extents_, chunk_nets_,
+             static_cast<std::size_t>(csr_.max_net_degree));
   return csr_;
+}
+
+double WirelengthModel::evaluate(const PlaceProblem& p, bool wa, bool grad,
+                                 std::span<double> gx, std::span<double> gy) const {
+  if (grad && (gx.size() != p.nodes.size() || gy.size() != p.nodes.size()))
+    throw std::runtime_error("wirelength eval: gradient span size mismatch");
+  RP_PROFILE_REGION("kernel/wirelength");
+  RP_COUNT("parallel.wl_evals", 1);
+  const auto run = [&](NetlistCsr& c, double* total) {
+    if (wa)
+      return grad ? eval_csr<Smooth::Wa, true>(p, c, layout_, scratch_, gx, gy, gamma_, total)
+                  : eval_csr<Smooth::Wa, false>(p, c, layout_, scratch_, gx, gy, gamma_, total);
+    return grad ? eval_csr<Smooth::Lse, true>(p, c, layout_, scratch_, gx, gy, gamma_, total)
+                : eval_csr<Smooth::Lse, false>(p, c, layout_, scratch_, gx, gy, gamma_, total);
+  };
+  double total = 0.0;
+  if (!run(prepare(p, false), &total)) run(prepare(p, true), &total);
+  return total;
 }
 
 double LseWirelength::eval(const PlaceProblem& p, std::span<double> gx,
                            std::span<double> gy) const {
-  return eval_csr<Smooth::Lse, true>(p, prepare(p), scratch(), gx, gy, gamma_);
+  return evaluate(p, false, true, gx, gy);
 }
 
 double LseWirelength::value(const PlaceProblem& p) const {
-  return eval_csr<Smooth::Lse, false>(p, prepare(p), scratch(), {}, {}, gamma_);
+  return evaluate(p, false, false, {}, {});
 }
 
 double WaWirelength::eval(const PlaceProblem& p, std::span<double> gx,
                           std::span<double> gy) const {
-  return eval_csr<Smooth::Wa, true>(p, prepare(p), scratch(), gx, gy, gamma_);
+  return evaluate(p, true, true, gx, gy);
 }
 
 double WaWirelength::value(const PlaceProblem& p) const {
-  return eval_csr<Smooth::Wa, false>(p, prepare(p), scratch(), {}, {}, gamma_);
+  return evaluate(p, true, false, {}, {});
 }
 
 std::unique_ptr<WirelengthModel> make_wirelength_model(const std::string& name,

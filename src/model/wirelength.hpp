@@ -23,13 +23,21 @@
 // in fixed chunk order, and a second parallel pass gathers per-node
 // gradients over each node's pin list in ascending pin order — so results
 // are bitwise identical for any thread count. Each chunk is one batched
-// kernel: it stages every pin's exp arguments, runs a single vector exp
-// over the chunk's contiguous pin range (so 2- and 3-pin nets fill vector
-// lanes too), then finishes each net with the scalar level's 4-lane
-// reduction tree inline — the same bits as one dispatched call per net and
-// array, at every RP_SIMD level. The CSR view and per-thread chunk scratch
-// live in the model and are rebuilt only when the problem shape
-// (node/pin/net counts) changes; steady-state evals allocate nothing.
+// kernel: it stages its nets' pin coordinates (read straight from the node
+// centres and pin offsets) and exp arguments, runs a single vector exp over
+// the chunk, then finishes every net. Nets of degree 2..kLaneMaxDegree are
+// staged four of one degree side by side, one net per SIMD lane, and run
+// through the dispatched simd::Ops net_lanes kernels; larger nets run the
+// scalar level's 4-lane reduction tree inline. Either way each net gets
+// the bits of one dispatched call per net and array, at every RP_SIMD
+// level, and per-net values are summed in net order.
+//
+// The CSR view, the lane layout and the per-thread chunk scratch live in
+// the model. Each chunk checks the problem's net pin ranges and pin nodes
+// against the cached view while it stages; a mismatch (the model evaluated
+// on a different netlist of equal size) rebuilds the view and evaluates
+// again, so a stale view can never be read. Steady-state evals allocate
+// nothing.
 
 #include <memory>
 #include <span>
@@ -42,21 +50,39 @@
 namespace rp {
 
 /// Per-thread scratch of the chunk kernel (owned by the model, one slot per
-/// pool thread, reused across chunks and evals). A chunk stages its pins'
-/// exp arguments in `exps` as four pin-length planes — e^{(x-max)/γ},
-/// e^{(min-x)/γ}, then the same for y — and exponentiates them in place;
-/// `extent` holds each net's x/y min and max. prepare() sizes every slot to
-/// the largest chunk up front; ensure() revalidates per chunk so a model
-/// evaluated on a larger design through a reused ThreadPool can never index
-/// past a stale capacity (the buffers only ever grow).
+/// pool thread, reused across chunks and evals). Each evaluation unit of a
+/// chunk — a lane group of up to four nets of one degree, or one larger net
+/// — takes consecutive slices: its pin coordinates in `coords`, its exp
+/// arguments (exponentiated in place) in `exps`, its extremes in `extent`;
+/// `value` holds each net's x and y extent, `grad` one unit's x and y
+/// gradients. prepare() sizes every slot to the largest chunk up front;
+/// ensure() revalidates per chunk so a model evaluated on a larger design
+/// through a reused ThreadPool can never index past a stale capacity (the
+/// buffers only ever grow).
 struct WlThreadScratch {
-  std::vector<double> exps;    ///< 4 planes x chunk pins
-  std::vector<double> extent;  ///< 4 per net: x min, x max, y min, y max
+  std::vector<double> coords;
+  std::vector<double> exps;
+  std::vector<double> extent;
+  std::vector<double> value;
+  std::vector<double> grad;
 
-  void ensure(std::size_t pins, std::size_t nets) {
-    if (exps.size() < 4 * pins) exps.resize(4 * pins);
-    if (extent.size() < 4 * nets) extent.resize(4 * nets);
-  }
+  void ensure(std::size_t ncoords, std::size_t nexps, std::size_t extents, std::size_t nets,
+              std::size_t max_degree);
+};
+
+/// Where each chunk's nets go: chunk k, nets [first_net[k] ..
+/// first_net[k+1]), evaluates order[begin[k] .. begin[k+1]) — its nets of
+/// degree 2..kLaneMaxDegree by ascending degree (net order within a degree,
+/// four per lane group), then its larger nets in net order — in
+/// `coords[k]` staged coordinates, `exps[k]` exp arguments and
+/// `extents[k]` extremes.
+struct WlLaneLayout {
+  std::vector<int> order;
+  std::vector<std::size_t> first_net;
+  std::vector<std::size_t> begin;
+  std::vector<std::size_t> coords;
+  std::vector<std::size_t> exps;
+  std::vector<std::size_t> extents;
 };
 
 class WirelengthModel {
@@ -64,6 +90,8 @@ class WirelengthModel {
   /// Minimum nets per parallel chunk. The chunk layout (and so the order in
   /// which per-chunk values are summed) is parallel::plan_chunks(nets, this).
   static constexpr std::size_t kNetGrain = 64;
+  /// Largest net degree evaluated in SIMD lanes; larger nets run per net.
+  static constexpr int kLaneMaxDegree = 12;
 
   virtual ~WirelengthModel() = default;
   virtual std::string name() const = 0;
@@ -79,15 +107,22 @@ class WirelengthModel {
  protected:
   double gamma_ = 1.0;
 
-  /// CSR view of p, rebuilt when the problem shape changes; also sizes the
-  /// per-thread scratch to the current pool width and the largest chunk.
-  NetlistCsr& prepare(const PlaceProblem& p) const;
-  std::vector<WlThreadScratch>& scratch() const { return scratch_; }
+  /// Both models' evaluation: WA or LSE, with per-node gradients
+  /// accumulated into gx/gy when `grad`.
+  double evaluate(const PlaceProblem& p, bool wa, bool grad, std::span<double> gx,
+                  std::span<double> gy) const;
 
  private:
+  /// CSR view and lane layout of p, rebuilt when `rebuild` or the problem
+  /// shape (node/pin/net counts) changes; also sizes the per-thread
+  /// scratch to the current pool width and the largest chunk.
+  NetlistCsr& prepare(const PlaceProblem& p, bool rebuild) const;
+
   mutable NetlistCsr csr_;
+  mutable WlLaneLayout layout_;
   mutable bool csr_valid_ = false;
-  mutable std::size_t chunk_pins_ = 0;  ///< Largest chunk's pin count.
+  /// The largest chunk's coordinate, exp-argument and extreme counts.
+  mutable std::size_t chunk_coords_ = 0, chunk_exps_ = 0, chunk_extents_ = 0;
   mutable std::size_t chunk_nets_ = 0;  ///< Largest chunk's net count.
   mutable std::vector<WlThreadScratch> scratch_;
 };

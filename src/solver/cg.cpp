@@ -25,11 +25,15 @@ namespace {
 // inline fast path.
 constexpr std::size_t kVecGrain = 4096;
 
-double inf_norm(const std::vector<double>& v) {
+/// d = -g (element-parallel); returns ||d||∞, the chunk maxima combined in
+/// chunk order.
+double steepest(const std::vector<double>& g, std::vector<double>& d) {
   return parallel::parallel_reduce(
-      v.size(), kVecGrain, 0.0,
+      d.size(), kVecGrain, 0.0,
       [&](std::size_t b, std::size_t e, int) {
-        return simd::ops().abs_max(v.data() + b, e - b);
+        const simd::Ops& ops = simd::ops();
+        ops.neg(g.data() + b, e - b, d.data() + b);
+        return ops.abs_max(d.data() + b, e - b);
       },
       [](double a, double b) { return std::max(a, b); });
 }
@@ -50,16 +54,23 @@ CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptio
   const std::size_t n = z.size();
   std::vector<double> g(n), g_prev(n), d(n), z_trial(n), g_trial(n);
 
+  // f at x; a one-call objective also fills gx there.
+  const auto value_at = [&](const std::vector<double>& x, std::vector<double>& gx) {
+    return f.full ? f.full(x, gx) : f.value(x);
+  };
+  // ∇f into gx at the last value_at point (a one-call objective put it there).
+  const auto gradient_at = [&](std::vector<double>& gx) {
+    if (!f.full) f.gradient(gx);
+  };
+
   CgResult res;
-  double fz = f(z, g);
+  double fz = value_at(z, g);
+  gradient_at(g);
   res.f = fz;
-  parallel::parallel_for(n, kVecGrain, [&](std::size_t b, std::size_t e, int) {
-    simd::ops().neg(g.data() + b, e - b, d.data() + b);
-  });
+  double dmax = steepest(g, d);
 
   for (int it = 0; it < opt.max_iters; ++it) {
     res.iters = it + 1;
-    const double dmax = inf_norm(d);
     if (dmax < opt.grad_tol) {
       res.converged = true;
       break;
@@ -70,8 +81,9 @@ CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptio
     bool accepted = false;
     for (int bt = 0; bt <= opt.max_backtracks; ++bt) {
       axpy_into(z_trial, z, alpha, d);
-      f_new = f(z_trial, g_trial);
+      f_new = value_at(z_trial, g_trial);
       if (f_new <= fz || bt == opt.max_backtracks) {
+        gradient_at(g_trial);
         accepted = true;
         break;
       }
@@ -104,20 +116,21 @@ CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptio
         },
         [](const Pair& x, const Pair& y) { return Pair{x.first + y.first, x.second + y.second}; });
     const double beta = den > 0 ? std::max(0.0, num / den) : 0.0;
-    const double gd = parallel::parallel_reduce(
-        n, kVecGrain, 0.0,
+    // The new direction, g·d and ||d||∞ in one pass (the norm is the next
+    // step's scale).
+    const auto [gd, dnorm] = parallel::parallel_reduce(
+        n, kVecGrain, Pair{0.0, 0.0},
         [&](std::size_t b, std::size_t e, int) {
           const simd::Ops& ops = simd::ops();
           ops.cg_dir(g.data() + b, beta, d.data() + b, e - b);
-          return ops.dot(g.data() + b, d.data() + b, e - b);
+          return Pair{ops.dot(g.data() + b, d.data() + b, e - b),
+                      ops.abs_max(d.data() + b, e - b)};
         },
-        [](double x, double y) { return x + y; });
+        [](const Pair& x, const Pair& y) {
+          return Pair{x.first + y.first, std::max(x.second, y.second)};
+        });
     // Safeguard: if not a descent direction, restart with steepest descent.
-    if (gd >= 0.0) {
-      parallel::parallel_for(n, kVecGrain, [&](std::size_t b, std::size_t e, int) {
-        simd::ops().neg(g.data() + b, e - b, d.data() + b);
-      });
-    }
+    dmax = gd >= 0.0 ? steepest(g, d) : dnorm;
   }
   RP_COUNT("solver.cg_calls", 1);
   RP_COUNT("solver.cg_iters", res.iters);

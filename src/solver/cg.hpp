@@ -7,11 +7,14 @@
 // the step size is chosen so the LARGEST single-coordinate move equals a
 // trust radius (typically one density-bin width), with backtracking only if
 // the objective increases. PR+ restarts (β clamped at 0) keep directions
-// descent-safe under this inexact search.
+// descent-safe under this inexact search. The line search compares values
+// only, so it asks for the gradient just at the trial point it accepts.
 
+#include <concepts>
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rp {
@@ -30,8 +33,24 @@ struct CgResult {
   bool converged = false;
 };
 
-/// Objective callback: f(z, grad) -> value, fills grad (same size as z).
-using CgObjective = std::function<double(std::span<const double>, std::span<double>)>;
+/// The objective, in one of two forms. Split: value(z) returns f(z), and
+/// gradient(g) fills g (same size as z) with ∇f at the point of the most
+/// recent value() call; minimize_cg asks for it only at the trial point it
+/// accepts. One-call: full(z, g) returns f(z) and fills g, at every trial
+/// point (minimize_cg passes its own buffers, so the object holds no state).
+struct CgObjective {
+  std::function<double(std::span<const double>)> value;
+  std::function<void(std::span<double>)> gradient;
+  std::function<double(std::span<const double>, std::span<double>)> full;
+
+  CgObjective(std::function<double(std::span<const double>)> v,
+              std::function<void(std::span<double>)> g)
+      : value(std::move(v)), gradient(std::move(g)) {}
+
+  template <typename F>
+    requires std::invocable<F&, std::span<const double>, std::span<double>>
+  CgObjective(F f) : full(std::move(f)) {}
+};
 
 /// Minimize starting from z (updated in place).
 CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptions& opt);

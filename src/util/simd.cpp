@@ -84,6 +84,7 @@ constexpr Ops kScalarOps = {
     Level::Scalar,  s_affine,   s_exp_nonpos, s_neg,
     s_axpy,         s_axpy_out, s_cg_dir,     s_lse_grad,
     s_wa_grad,      bell_splat_lanes, bell_gather_lanes,
+    net_lanes_stage_body<Lanes4>, net_lanes_finish_body<Lanes4>,
     minmax_lanes,   sum_lanes,  dot_lanes,    s_abs_max,
     s_pr_num,
 };

@@ -69,6 +69,23 @@ struct BellWindow {
   std::size_t rh;
 };
 
+/// Four nets of one degree d evaluated side by side on one axis, one net per
+/// lane, for the smoothed wirelength models (model/wirelength.hpp). Every
+/// array is pin-major: element 4k + j is pin k of net j. Each lane runs the
+/// per-net expression tree of the scalar level exactly (minmax, the
+/// exp-argument affines, the 4-lane sum/dot trees and the gradient), so a
+/// net's bits do not depend on which lane, or which neighbours, it gets.
+struct NetLanes {
+  const double* c;  ///< 4d pin coordinates.
+  double* ep;       ///< 4d: (c - max)/γ after stage; e^ of that at finish.
+  double* em;       ///< 4d: (min - c)/γ after stage; e^ of that at finish.
+  double* ext;      ///< 8: lane minima (0..3), then lane maxima (4..7).
+  std::size_t d;    ///< Pins per net (>= 1).
+  double gamma;
+  double ig;        ///< 1/γ, as the caller rounded it.
+  bool wa;          ///< Weighted average (true) or log-sum-exp.
+};
+
 /// The kernel table. All pointers are always valid; Scalar fills every
 /// slot, vector levels override the whole table (never a mix).
 struct Ops {
@@ -114,6 +131,16 @@ struct Ops {
   void (*bell_gather)(const BellWindow& w, double cv, const double* resid,
                       std::size_t stride, double* scratch, double* gx,
                       double* gy);
+
+  // ---- lane-parallel net kernels (see NetLanes); the caller
+  // exponentiates ep/em in place between the two calls ----
+  /// Writes each lane's extremes to ext and the exp arguments
+  /// (c + (-max))*ig to ep and (c + (-min))*(-ig) to em.
+  void (*net_lanes_stage)(const NetLanes& g);
+  /// val[j] = net j's smoothed extent: WA Σc·ep/Σep - Σc·em/Σem, LSE
+  /// (max - min) + γ(log Σep + log Σem). With dc != nullptr also writes
+  /// dWL/dc per pin (4d, pin-major).
+  void (*net_lanes_finish)(const NetLanes& g, double* val, double* dc);
 
   // ---- reductions (fixed 4-lane tree; see header comment) ----
   /// mn/mx over x[0..n), n >= 1.

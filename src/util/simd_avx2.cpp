@@ -282,6 +282,22 @@ double a_pr_num(const double* g, const double* gp, std::size_t n) {
   return combine_sum(l[0], l[1], l[2], l[3], pr_num_tail(g, gp, i, n));
 }
 
+/// net_lanes bodies' vector type: the four nets in one 4xf64 register.
+/// _mm256_min_pd/_mm256_max_pd keep the first operand only when the
+/// comparison holds, exactly min2/max2.
+struct Avx4 {
+  __m256d v;
+  static Avx4 load(const double* p) { return {_mm256_loadu_pd(p)}; }
+  static Avx4 set1(double x) { return {_mm256_set1_pd(x)}; }
+  void store(double* p) const { _mm256_storeu_pd(p, v); }
+  friend Avx4 operator+(Avx4 a, Avx4 b) { return {_mm256_add_pd(a.v, b.v)}; }
+  friend Avx4 operator-(Avx4 a, Avx4 b) { return {_mm256_sub_pd(a.v, b.v)}; }
+  friend Avx4 operator*(Avx4 a, Avx4 b) { return {_mm256_mul_pd(a.v, b.v)}; }
+  friend Avx4 operator/(Avx4 a, Avx4 b) { return {_mm256_div_pd(a.v, b.v)}; }
+  friend Avx4 vmin(Avx4 a, Avx4 b) { return {_mm256_min_pd(a.v, b.v)}; }
+  friend Avx4 vmax(Avx4 a, Avx4 b) { return {_mm256_max_pd(a.v, b.v)}; }
+};
+
 double a_bell_splat(const BellWindow& w, double area, double* grid,
                     std::size_t stride, double* scratch) {
   double* px = scratch;
@@ -326,6 +342,7 @@ constexpr Ops kAvx2Ops = {
     Level::Avx2,    a_affine,   a_exp_nonpos, a_neg,
     a_axpy,         a_axpy_out, a_cg_dir,     a_lse_grad,
     a_wa_grad,      a_bell_splat, a_bell_gather,
+    net_lanes_stage_body<Avx4>, net_lanes_finish_body<Avx4>,
     a_minmax,       a_sum,      a_dot,        a_abs_max,
     a_pr_num,
 };

@@ -5,11 +5,12 @@
 // each translation unit — the foundation of the bitwise-identity contract
 // (see util/simd.hpp). Nothing here is public API; the one client outside
 // util/ is the wirelength chunk kernel (model/wirelength.cpp), which runs
-// the scalar level's 4-lane reductions inline on per-net pin ranges too
-// short to be worth a dispatched call. The per-row bell samplers below are
-// also the density model's reference algorithm in the tests.
+// the scalar level's 4-lane reductions inline on the nets too large for
+// its SIMD lane groups. The per-row bell samplers below are also the
+// density model's reference algorithm in the tests.
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -279,7 +280,11 @@ inline double splat_rows(const double* py, std::size_t rh, double row_sum,
 }
 
 /// bell_gather after sampling: dots(row, &ddx, &ddy) must return
-/// dot(row, dpx) and dot(row, px) with the 4-lane tree.
+/// dot(row, dpx) and dot(row, px) with the 4-lane tree. A row with
+/// py[k] == dpy[k] == 0 (outside the y support) is skipped: its terms are
+/// ±0 for a finite residual, and adding ±0 leaves sx/sy unchanged because
+/// they start at +0 and a round-to-nearest sum is -0 only when both
+/// addends are.
 template <typename Dots>
 inline void gather_rows(const double* py, const double* dpy, std::size_t rh,
                         double cv, const double* resid, std::size_t stride,
@@ -287,6 +292,7 @@ inline void gather_rows(const double* py, const double* dpy, std::size_t rh,
   const double c2 = 2.0 * cv;
   double sx = 0.0, sy = 0.0;
   for (std::size_t k = 0; k < rh; ++k) {
+    if (py[k] == 0.0 && dpy[k] == 0.0) continue;
     double ddx, ddy;
     dots(resid + k * stride, &ddx, &ddy);
     sx += (c2 * py[k]) * ddx;
@@ -327,6 +333,155 @@ inline void bell_gather_lanes(const BellWindow& w, double cv,
                 *ddx = dot_lanes(row, dpx, w.rw);
                 *ddy = dot_lanes(row, px, w.rw);
               });
+}
+
+// -------------------------------------------- lane-parallel net bodies --
+// net_lanes_stage / net_lanes_finish (see Ops) for every level, written
+// once over a 4-wide vector type V (V::load / V::set1 / store, + - * /, and
+// vmin / vmax with min2 / max2 semantics). Each vector operation is one
+// operation of the per-net scalar reference — minmax_lanes, affine_range,
+// sum_lanes / dot_lanes, wa_grad_range / lse_grad_range — applied to four
+// nets at once: the reference's four virtual accumulators become four
+// vectors, its sequential tail one more, so every lane reproduces its net's
+// per-net bits.
+
+/// The scalar level's V: four doubles, element-wise.
+struct Lanes4 {
+  double v[4];
+  static Lanes4 load(const double* p) { return {{p[0], p[1], p[2], p[3]}}; }
+  static Lanes4 set1(double x) { return {{x, x, x, x}}; }
+  void store(double* p) const {
+    for (int j = 0; j < 4; ++j) p[j] = v[j];
+  }
+  template <typename Op>
+  static Lanes4 zip(const Lanes4& a, const Lanes4& b, Op op) {
+    return {{op(a.v[0], b.v[0]), op(a.v[1], b.v[1]), op(a.v[2], b.v[2]),
+             op(a.v[3], b.v[3])}};
+  }
+  friend Lanes4 operator+(const Lanes4& a, const Lanes4& b) {
+    return zip(a, b, [](double x, double y) { return x + y; });
+  }
+  friend Lanes4 operator-(const Lanes4& a, const Lanes4& b) {
+    return zip(a, b, [](double x, double y) { return x - y; });
+  }
+  friend Lanes4 operator*(const Lanes4& a, const Lanes4& b) {
+    return zip(a, b, [](double x, double y) { return x * y; });
+  }
+  friend Lanes4 operator/(const Lanes4& a, const Lanes4& b) {
+    return zip(a, b, [](double x, double y) { return x / y; });
+  }
+  friend Lanes4 vmin(const Lanes4& a, const Lanes4& b) { return zip(a, b, min2); }
+  friend Lanes4 vmax(const Lanes4& a, const Lanes4& b) { return zip(a, b, max2); }
+};
+
+/// sum_lanes per lane over n pin-major rows of x.
+template <class V>
+inline V sum_net_lanes(const double* x, std::size_t n) {
+  V l0 = V::set1(0.0), l1 = l0, l2 = l0, l3 = l0;
+  std::size_t i = 0;
+  for (; i + 3 < n; i += 4) {
+    l0 = l0 + V::load(x + 4 * i);
+    l1 = l1 + V::load(x + 4 * i + 4);
+    l2 = l2 + V::load(x + 4 * i + 8);
+    l3 = l3 + V::load(x + 4 * i + 12);
+  }
+  V t = V::set1(0.0);
+  for (; i < n; ++i) t = t + V::load(x + 4 * i);
+  return ((l0 + l1) + (l2 + l3)) + t;
+}
+
+/// dot_lanes per lane over n pin-major rows of a and b.
+template <class V>
+inline V dot_net_lanes(const double* a, const double* b, std::size_t n) {
+  V l0 = V::set1(0.0), l1 = l0, l2 = l0, l3 = l0;
+  std::size_t i = 0;
+  for (; i + 3 < n; i += 4) {
+    l0 = l0 + V::load(a + 4 * i) * V::load(b + 4 * i);
+    l1 = l1 + V::load(a + 4 * i + 4) * V::load(b + 4 * i + 4);
+    l2 = l2 + V::load(a + 4 * i + 8) * V::load(b + 4 * i + 8);
+    l3 = l3 + V::load(a + 4 * i + 12) * V::load(b + 4 * i + 12);
+  }
+  V t = V::set1(0.0);
+  for (; i < n; ++i) t = t + V::load(a + 4 * i) * V::load(b + 4 * i);
+  return ((l0 + l1) + (l2 + l3)) + t;
+}
+
+template <class V>
+inline void net_lanes_stage_body(const NetLanes& g) {
+  const double* c = g.c;
+  const std::size_t n = g.d;
+  V mn = V::load(c), mx = mn;
+  std::size_t i = 1;
+  if (n >= 4) {  // minmax_lanes: four accumulators, then the tail
+    V mn1 = V::load(c + 4), mn2 = V::load(c + 8), mn3 = V::load(c + 12);
+    V mx1 = mn1, mx2 = mn2, mx3 = mn3;
+    for (i = 4; i + 3 < n; i += 4) {
+      const V x0 = V::load(c + 4 * i), x1 = V::load(c + 4 * i + 4);
+      const V x2 = V::load(c + 4 * i + 8), x3 = V::load(c + 4 * i + 12);
+      mn = vmin(mn, x0);
+      mn1 = vmin(mn1, x1);
+      mn2 = vmin(mn2, x2);
+      mn3 = vmin(mn3, x3);
+      mx = vmax(mx, x0);
+      mx1 = vmax(mx1, x1);
+      mx2 = vmax(mx2, x2);
+      mx3 = vmax(mx3, x3);
+    }
+    mn = vmin(vmin(mn, mn1), vmin(mn2, mn3));
+    mx = vmax(vmax(mx, mx1), vmax(mx2, mx3));
+  }
+  for (; i < n; ++i) {
+    const V x = V::load(c + 4 * i);
+    mn = vmin(mn, x);
+    mx = vmax(mx, x);
+  }
+  mn.store(g.ext);
+  mx.store(g.ext + 4);
+  double bias[8];
+  for (int j = 0; j < 8; ++j) bias[j] = -g.ext[j];
+  const V bm = V::load(bias), bp = V::load(bias + 4);
+  const V sp = V::set1(g.ig), sm = V::set1(-g.ig);
+  for (std::size_t k = 0; k < n; ++k) {
+    const V x = V::load(c + 4 * k);
+    ((x + bp) * sp).store(g.ep + 4 * k);
+    ((x + bm) * sm).store(g.em + 4 * k);
+  }
+}
+
+template <class V>
+inline void net_lanes_finish_body(const NetLanes& g, double* val, double* dc) {
+  const V one = V::set1(1.0);
+  const std::size_t n = g.d;
+  const V sp = sum_net_lanes<V>(g.ep, n);
+  const V sm = sum_net_lanes<V>(g.em, n);
+  const V rsp = one / sp, rsm = one / sm;
+  if (!g.wa) {
+    if (dc != nullptr)
+      for (std::size_t k = 0; k < n; ++k)
+        (V::load(g.ep + 4 * k) * rsp - V::load(g.em + 4 * k) * rsm)
+            .store(dc + 4 * k);
+    double s[8];
+    sp.store(s);
+    sm.store(s + 4);
+    for (int j = 0; j < 4; ++j)
+      val[j] = (g.ext[4 + j] - g.ext[j]) +
+               g.gamma * (std::log(s[j]) + std::log(s[4 + j]));
+    return;
+  }
+  const V xmax = dot_net_lanes<V>(g.c, g.ep, n) / sp;
+  const V xmin = dot_net_lanes<V>(g.c, g.em, n) / sm;
+  if (dc != nullptr) {
+    const V ig = V::set1(g.ig);
+    for (std::size_t k = 0; k < n; ++k) {
+      const V c = V::load(g.c + 4 * k);
+      const V tmax = (c - xmax) * ig;
+      const V tmin = (c - xmin) * ig;
+      const V dmax = (V::load(g.ep + 4 * k) * (one + tmax)) * rsp;
+      const V dmin = (V::load(g.em + 4 * k) * (one - tmin)) * rsm;
+      (dmax - dmin).store(dc + 4 * k);
+    }
+  }
+  (xmax - xmin).store(val);
 }
 
 }  // namespace rp::simd::detail

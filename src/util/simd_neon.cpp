@@ -3,8 +3,10 @@
 // the high one, four elements consumed per iteration, lane combine
 // (l0+l1)+(l2+l3) with the sequential tail folded last — bit-for-bit the
 // scalar level's tree. The transcendental and piecewise kernels
-// (exp_nonpos, wa_grad, and the per-node density kernels bell_splat and
-// bell_gather) run the shared scalar bodies from simd_detail.hpp: those
+// (exp_nonpos, wa_grad, the per-node density kernels bell_splat and
+// bell_gather, and the lane-parallel net kernels, whose min/max must keep
+// min2/max2's signed-zero choice that vminq/vmaxq do not) run the shared
+// scalar bodies from simd_detail.hpp: those
 // replay the scalar level's element-wise expressions and 4-lane trees, so
 // scalar execution is already bitwise identical, and a native port can land
 // later without touching the dispatch contract.
@@ -169,6 +171,7 @@ constexpr Ops kNeonOps = {
     Level::Neon,    n_affine,   n_exp_nonpos, n_neg,
     n_axpy,         n_axpy_out, n_cg_dir,     n_lse_grad,
     n_wa_grad,      bell_splat_lanes, bell_gather_lanes,
+    net_lanes_stage_body<Lanes4>, net_lanes_finish_body<Lanes4>,
     n_minmax,       n_sum,      n_dot,        n_abs_max,
     n_pr_num,
 };

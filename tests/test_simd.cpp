@@ -12,12 +12,15 @@
 //  * IncrementalEval's trial_move/trial_swap match mutate-and-measure
 //    exactly, and a long committed-move session never drifts from
 //    Design::hpwl();
-//  * the batched chunk kernel reproduces the per-net reference evaluation
-//    bit for bit on every net shape it special-cases, and the wirelength
-//    bits stay pinned to the reference values;
+//  * the batched chunk kernel (nets in SIMD lanes by degree, larger nets
+//    per net) reproduces the per-net reference evaluation bit for bit on
+//    every net shape it special-cases, and the wirelength bits stay pinned
+//    to the reference values;
 //  * the per-thread wirelength scratch survives re-use on a problem with a
 //    larger max net degree and larger chunks (regression for the
-//    stale-capacity bug).
+//    stale-capacity bug), and a model re-used on another netlist of the
+//    same size evaluates the new netlist (regression for the stale-CSR
+//    bug).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +28,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "gen/generator.hpp"
@@ -567,13 +572,19 @@ TEST(SimdModels, DensityKernelMatchesPerRowReferenceBitwise) {
 // ------------------------------------------ chunk kernel edge cases
 
 /// A problem aimed at the batched chunk kernel: every net degree it treats
-/// differently (0 and 1 skip, 2-3 are all tail, 4/8 fill whole lane blocks,
-/// 5/7/9 leave tails, plus one large net), non-unit weights, nets whose pins
-/// all coincide (min == max on both axes), and enough nets for several
-/// chunks of uneven size, so every kind of net lands on a chunk boundary.
+/// differently — 0 and 1 skip; every lane-group degree 2..kLaneMaxDegree
+/// (2-3 are all tail, multiples of 4 fill whole lane blocks, the rest leave
+/// tails); the per-net degrees just past kLaneMaxDegree and one large net —
+/// non-unit weights, nets whose pins all coincide (min == max on both
+/// axes), and enough nets for several chunks of uneven size, so every kind
+/// of net lands on a chunk boundary and most chunks end a degree's lane
+/// groups with a partial one.
 PlaceProblem chunk_edge_problem() {
-  constexpr int kDegrees[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 97};
-  constexpr int kNodes = 240, kNets = 337;
+  constexpr int kMax = WirelengthModel::kLaneMaxDegree;
+  std::vector<int> degrees;
+  for (int deg = 0; deg <= kMax + 2; ++deg) degrees.push_back(deg);
+  degrees.push_back(97);
+  constexpr int kNodes = 240, kNets = 601;
   Rng rng(17);
   PlaceProblem p;
   p.die = {0, 0, 1000, 1000};
@@ -591,7 +602,7 @@ PlaceProblem chunk_edge_problem() {
     PlaceNet net;
     net.pin_begin = static_cast<int>(p.pins.size());
     net.weight = j % 3 == 0 ? 1.0 : rng.uniform(0.25, 4.0);
-    const int deg = kDegrees[(j * 7) % 10];
+    const int deg = degrees[rng.below(degrees.size())];
     const bool coincident = j % 11 == 4;
     const auto anchor = static_cast<int>(rng.below(kNodes));
     for (int k = 0; k < deg; ++k) {
@@ -695,7 +706,21 @@ PlaceProblem single_net_problem(const PlaceProblem& p, std::size_t j) {
 TEST(SimdModels, ChunkKernelMatchesPerNetReferenceBitwise) {
   DispatchGuard guard;
   const PlaceProblem p = chunk_edge_problem();
-  ASSERT_GT(parallel::plan_chunks(p.nets.size(), WirelengthModel::kNetGrain).count, 4);
+  const parallel::ChunkPlan plan =
+      parallel::plan_chunks(p.nets.size(), WirelengthModel::kNetGrain);
+  ASSERT_GT(plan.count, 4);
+  // Some chunk ends a lane-group degree with a partial group of 1, 2 and 3
+  // nets.
+  std::set<std::size_t> partial;
+  for (int k = 0; k < plan.count; ++k) {
+    std::vector<std::size_t> count(WirelengthModel::kLaneMaxDegree + 1, 0);
+    for (std::size_t n = plan.begin(k); n < plan.end(k); ++n) {
+      const auto deg = static_cast<std::size_t>(p.nets[n].degree());
+      if (deg >= 2 && deg < count.size()) ++count[deg];
+    }
+    for (const std::size_t c : count) partial.insert(c % 4);
+  }
+  ASSERT_TRUE(partial.count(1) && partial.count(2) && partial.count(3));
   for (const bool wa : {true, false}) {
     simd::set_from_string("off");
     parallel::set_num_threads(1);
@@ -769,6 +794,57 @@ TEST(SimdModels, ScratchSurvivesLargerMaxDegreeProblem) {
   EXPECT_EQ(want, got);
   EXPECT_EQ(fx, gx);
   EXPECT_EQ(fy, gy);
+}
+
+// ------------------------------------------- re-use on another netlist
+
+TEST(SimdModels, ModelReusedOnSameSizeNetlistMatchesFreshModel) {
+  // One model evaluated on two problems with equal node, net and pin counts
+  // but different netlists must give the second the bits a fresh model
+  // gives it (regression: the cached CSR view was keyed on the counts and
+  // silently evaluated the first netlist). Each second problem changes one
+  // thing: pins moved between nodes, a pin moved from one net to its
+  // neighbour (so degrees and lane groups change), or a weight.
+  DispatchGuard guard;
+  const PlaceProblem a = chunk_edge_problem();
+  std::vector<PlaceProblem> changed(3, a);
+  for (std::size_t i = 0; i < a.pins.size(); i += 3)
+    changed[0].pins[i].node = (a.pins[i].node + 7) % a.num_nodes();
+  for (std::size_t n = 0; n + 1 < a.nets.size(); ++n)
+    if (a.nets[n].degree() > 2 && a.nets[n].degree() < 9) {
+      --changed[1].nets[n].pin_end;
+      --changed[1].nets[n + 1].pin_begin;
+      break;
+    }
+  changed[2].nets[5].weight *= 3.0;
+  for (std::size_t c = 0; c < changed.size(); ++c) {
+    const PlaceProblem& b = changed[c];
+    b.validate();
+    for (const bool wa : {true, false}) {
+      for (const int threads : {1, 4}) {
+        parallel::set_num_threads(threads);
+        const auto reused = make_wirelength_model(wa ? "WA" : "LSE", 3.0);
+        std::vector<double> gx(a.nodes.size(), 0.0), gy(a.nodes.size(), 0.0);
+        reused->eval(a, gx, gy);
+        std::fill(gx.begin(), gx.end(), 0.0);
+        std::fill(gy.begin(), gy.end(), 0.0);
+        const double got = reused->eval(b, gx, gy);
+
+        const auto fresh = make_wirelength_model(wa ? "WA" : "LSE", 3.0);
+        std::vector<double> fx(b.nodes.size(), 0.0), fy(b.nodes.size(), 0.0);
+        const double want = fresh->eval(b, fx, fy);
+        const std::string tag =
+            std::string(wa ? "WA" : "LSE") + " change " + std::to_string(c) +
+            " t=" + std::to_string(threads);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(want), std::bit_cast<std::uint64_t>(got)) << tag;
+        EXPECT_EQ(fx, gx) << tag;
+        EXPECT_EQ(fy, gy) << tag;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fresh->value(a)),
+                  std::bit_cast<std::uint64_t>(reused->value(a)))
+            << tag;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------- incremental eval

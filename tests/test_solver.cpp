@@ -1,11 +1,22 @@
 // Nonlinear CG solver: convergence on standard test functions, trust-radius
-// semantics, and degenerate inputs.
+// semantics, and degenerate inputs; plus a bit pin on a whole global
+// placement, the solver's main client.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <latch>
+#include <thread>
 
+#include "core/global_placer.hpp"
+#include "gen/generator.hpp"
 #include "solver/cg.hpp"
+#include "util/logger.hpp"
+#include "util/obs_context.hpp"
+#include "util/parallel.hpp"
+#include "util/simd.hpp"
 
 namespace rp {
 namespace {
@@ -131,6 +142,113 @@ TEST(Cg, BacktracksOnOvershoot) {
       z, opt);
   EXPECT_LT(res.f, 81.0);  // f(3)=81; must have improved
   EXPECT_LT(std::abs(z[0]), 3.0);
+}
+
+TEST(Cg, OneCallObjectiveServesConcurrentSolves) {
+  // A one-call objective converted to CgObjective holds no state: two
+  // solves sharing one const object from two threads each get the result
+  // of solving alone. (Each thread binds its own ObsContext, as concurrent
+  // flows do, for the solver's counters.)
+  parallel::set_num_threads(1);
+  const CgObjective f = [](std::span<const double> x, std::span<double> g) {
+    double v = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double w = 1.0 + static_cast<double>(i % 7);
+      const double d = x[i] - static_cast<double>(i % 13);
+      v += w * d * d;
+      g[i] = 2.0 * w * d;
+    }
+    return v;
+  };
+  CgOptions opt;
+  opt.max_iters = 300;
+  opt.trust_radius = 0.05;
+  opt.f_rel_tol = 0.0;
+  const std::vector<double> starts[2] = {std::vector<double>(4096, -3.0),
+                                         std::vector<double>(4096, 5.0)};
+  std::vector<double> alone[2], shared[2];
+  CgResult alone_res[2], shared_res[2];
+  for (int s = 0; s < 2; ++s) {
+    alone[s] = starts[s];
+    alone_res[s] = minimize_cg(f, alone[s], opt);
+  }
+  for (int round = 0; round < 5; ++round) {
+    for (int s = 0; s < 2; ++s) shared[s] = starts[s];
+    std::latch go(2);
+    const auto solve = [&](int s) {
+      obs::ObsContext ctx;
+      obs::ScopedBind bind(&ctx);
+      go.arrive_and_wait();
+      shared_res[s] = minimize_cg(f, shared[s], opt);
+    };
+    std::thread other(solve, 1);
+    solve(0);
+    other.join();
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(shared_res[s].iters, alone_res[s].iters) << "solve " << s;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(shared_res[s].f),
+                std::bit_cast<std::uint64_t>(alone_res[s].f))
+          << "solve " << s;
+      EXPECT_TRUE(shared[s] == alone[s]) << "solve " << s;
+    }
+  }
+}
+
+/// FNV-1a over the bit patterns of a double sequence.
+struct BitHash {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 64; b += 8) {
+      h ^= (bits >> b) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+TEST(Cg, GlobalPlacerBitsPinned) {
+  // A whole routability-driven global placement: every level, the
+  // inflation rounds and their reheats, and a line search that backtracks.
+  // The constants are the bits of the full-gradient-per-trial solver with
+  // the per-net wirelength kernel; a solver or kernel change must
+  // reproduce the final cell centres, every trace point and the iteration
+  // count, at every dispatch level and thread count.
+  Logger::set_level(LogLevel::Warn);
+  const Design start = generate_benchmark(small_spec(42));
+  for (const auto& [level, threads] : {std::pair{"off", 1}, std::pair{"auto", 4}}) {
+    simd::set_from_string(level);
+    parallel::set_num_threads(threads);
+    obs::ObsContext ctx;
+    obs::ScopedBind bind(&ctx);
+    Design d = start;
+    GlobalPlacer gp;
+    const GpStats st = gp.run(d);
+    BitHash cells, trace;
+    for (CellId c = 0; c < d.num_cells(); ++c) {
+      const Point ctr = d.cell_center(c);
+      cells.add(ctr.x);
+      cells.add(ctr.y);
+    }
+    for (const GpTracePoint& tp : gp.trace()) {
+      trace.add(tp.hpwl);
+      trace.add(tp.overflow);
+      trace.add(tp.lambda);
+    }
+    const telemetry::Registry& reg = ctx.registry();
+    const std::int64_t iters = reg.counter_value("solver.cg_iters");
+    // Every CG call evaluates once up front and once per trial step, and
+    // each level's balanced λ costs one more wirelength evaluation; every
+    // evaluation beyond those and one per iteration is a rejected trial.
+    const std::int64_t rejected = reg.counter_value("parallel.wl_evals") -
+                                  reg.counter_value("solver.cg_calls") - iters - st.levels;
+    EXPECT_EQ(cells.h, 0xc329e28a244c8be8ULL) << level << " t=" << threads;
+    EXPECT_EQ(trace.h, 0xad95238c7e807d27ULL) << level << " t=" << threads;
+    EXPECT_EQ(iters, 922) << level << " t=" << threads;
+    EXPECT_GT(rejected, 0) << level << " t=" << threads;
+    EXPECT_GT(st.inflation_rounds, 0) << level << " t=" << threads;
+  }
+  simd::set_from_string("auto");
+  parallel::set_num_threads(1);
 }
 
 }  // namespace
