@@ -532,74 +532,6 @@ void emit_event_bus_rows() {
   }
 }
 
-// ------------------------------- resource-sampler overhead JSONL row
-
-/// Measure the resource timeline sampler (util/resource_sampler.hpp): full
-/// flow wall time with the background sampler off vs on at the default
-/// 25 ms tick, arms interleaved and min-of-reps like the event-bus pair.
-/// The contract is <2% flow overhead; bench_trend.py gates the emitted
-/// "overhead_ratio" with the same absolute <= 1.02 ceiling.
-void emit_resource_sampler_rows() {
-  using namespace rp;
-
-  long long samples_taken = 0;
-  auto flow_sec = [&samples_taken](bool sample) {
-    auto ctx = std::make_shared<obs::ObsContext>();
-    if (sample) ctx->sampler().start(obs::ResourceSampler::Options{});
-    obs::ScopedBind bind(ctx.get());
-    Design d = generate_benchmark(tiny_spec(17));
-    FlowOptions opt = routability_driven_options();
-    opt.obs = ctx;
-    PlacementFlow flow(opt);
-    const auto t0 = std::chrono::steady_clock::now();
-    flow.run(d);
-    const double sec = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - t0).count();
-    if (sample) {
-      ctx->sampler().stop();
-      samples_taken = ctx->sampler().summary().samples_taken;
-    }
-    return sec;
-  };
-  // Median of per-pair ratios, same rationale as the event-bus gate: at
-  // this flow size a ratio of per-arm minima sits within scheduler noise
-  // of the absolute 1.02 ceiling.
-  double off_sec = 1e300, on_sec = 1e300;
-  std::vector<double> pair_ratios;
-  flow_sec(false);  // warm caches/pool before timing either arm
-  for (int rep = 0; rep < 15; ++rep) {
-    // Alternate which arm goes first so monotone drift (thermal, frequency
-    // scaling) biases as many pairs down as up instead of all of them up.
-    const bool on_first = (rep & 1) != 0;
-    const double first = flow_sec(on_first);
-    const double second = flow_sec(!on_first);
-    const double off = on_first ? second : first;
-    const double on = on_first ? first : second;
-    off_sec = std::min(off_sec, off);
-    on_sec = std::min(on_sec, on);
-    if (off > 0.0) pair_ratios.push_back(on / off);
-  }
-  const double ratio = median_of(pair_ratios);
-
-  std::printf("\nresource sampler overhead (%d ms tick)\n",
-              obs::ResourceSampler::kDefaultTickMs);
-  std::printf("  flow sampler off/on   %.3fs / %.3fs (ratio %.4f, "
-              "%lld samples last run)\n",
-              off_sec, on_sec, ratio, samples_taken);
-
-  const char* json_path = std::getenv("RP_BENCH_JSON");
-  if (json_path != nullptr && json_path[0] != '\0') {
-    std::ofstream json(json_path, std::ios::app);
-    if (json.is_open())
-      json << "{\"schema\":\"resource_sampler_overhead\""
-           << ",\"tick_ms\":" << obs::ResourceSampler::kDefaultTickMs
-           << ",\"samples_taken\":" << samples_taken
-           << ",\"flow_off_sec\":" << off_sec
-           << ",\"flow_on_sec\":" << on_sec
-           << ",\"overhead_ratio\":" << ratio << "}\n";
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -611,6 +543,5 @@ int main(int argc, char** argv) {
   emit_simd_speedup_rows();
   emit_dp_candidate_rows();
   emit_event_bus_rows();
-  emit_resource_sampler_rows();
   return 0;
 }

@@ -16,9 +16,6 @@ The bench binaries append machine-readable JSONL rows to $RP_BENCH_JSON:
   * event-bus overhead (``{"schema": "event_bus_overhead", ...}`` from
     bench_micro_kernels: emit cost, events/sec, and the stream-on vs
     stream-off flow wall-time ratio),
-  * sampler overhead   (``{"schema": "resource_sampler_overhead", ...}``:
-    flow wall time with the resource timeline sampler off vs on — gated by
-    the same <= 1.02 absolute ceiling as the event bus),
   * campaign medians   (``{"schema": "campaign_cell", ...}`` emitted by
     ``render_report.py --campaign`` into campaign_trend.jsonl: per-grid-cell
     medians over seeds, so rp_sweep campaigns feed the same trend gate).
@@ -54,7 +51,7 @@ exits nonzero if any shared metric regressed beyond its tolerance — this is
 the CI gate (see the bench_smoke ctest). Individual metrics present on only
 one side are reported but never fail the gate (benches come and go) — but a
 whole METRIC FAMILY (the first key segment: flow, kernel, region, eventbus,
-sampler, campaign, ...) that the baseline has and the fresh file lacks
+campaign, ...) that the baseline has and the fresh file lacks
 fails with a clear message: a family vanishing wholesale means a producer
 stopped emitting, not that one bench was renamed. New unbaselined families
 are reported as NEW FAMILY.
@@ -168,11 +165,6 @@ def metrics_from_rows(rows):
             for m in ("events_per_sec", "emit_ns", "emit_streamed_ns",
                       "flow_off_sec", "flow_on_sec", "overhead_ratio"):
                 add("eventbus.%s" % m, row.get(m))
-        elif schema == "resource_sampler_overhead":
-            # samples_taken stays in the raw row but is not trended — the
-            # count tracks wall time, which run-to-run noise moves freely.
-            for m in ("flow_off_sec", "flow_on_sec", "overhead_ratio"):
-                add("sampler.%s" % m, row.get(m))
         elif schema == "campaign_cell":
             base = "campaign.%s" % row.get("cell", "?")
             for m in ("hpwl_median", "rc_median", "overflow_median",

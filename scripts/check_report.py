@@ -11,9 +11,8 @@ Runs `routplace --gen ... --profile --report-json ... --trace-json ...
   * the "profile" block (schema v2): enough regions, per-region histogram
     bucket monotonicity, quantile ordering p50<=p95<=p99<=max, and per-worker
     busy+wait summing to the pool's region wall time;
-  * the "resources" block (schema v5, resource timeline sampler): monotone
-    sample timestamps, peaks dominating every kept sample, pool_busy a
-    fraction in [0,1], and samples_taken >= the kept (downsampled) count;
+  * the absence of the "resources" block (an old v5 sampled timeline that
+    is no longer written);
   * the trace file as a loadable Chrome trace-event document with spans for
     every flow stage, each multilevel level, and each routability round, plus
     per-worker pool/chunk spans on named worker lanes;
@@ -299,55 +298,11 @@ def validate_profile(report, threads):
 
 
 def validate_resources(report):
-    """Schema v5 'resources' block written by the resource timeline sampler
-    (on by default; --sample-resources 0 drops the block entirely)."""
-    if not check("resources" in report,
-                 "report: no 'resources' block (sampler is on by default)"):
-        return
-    res = report["resources"]
-    expect_keys(res, ["tick_ms", "effective_tick_ms", "downsample_rounds",
-                      "samples_taken", "peak_rss_kb", "peak_pool_busy",
-                      "cpu_utime_ms", "cpu_stime_ms", "samples"],
-                "report.resources")
-    if FAILURES:
-        return
-    check(res["tick_ms"] > 0, "report.resources.tick_ms not positive")
-    check(res["effective_tick_ms"] >= res["tick_ms"],
-          "report.resources.effective_tick_ms < tick_ms")
-    check(res["downsample_rounds"] >= 0,
-          "report.resources.downsample_rounds negative")
-    samples = res["samples"]
-    check(isinstance(samples, list) and len(samples) >= 2,
-          "report.resources.samples has fewer than 2 samples "
-          "(first + final are force-kept)")
-    check(res["samples_taken"] >= len(samples),
-          "report.resources.samples_taken < kept sample count")
-    check(res["peak_rss_kb"] > 0, "report.resources.peak_rss_kb not positive")
-    check(0.0 <= res["peak_pool_busy"] <= 1.0,
-          "report.resources.peak_pool_busy outside [0,1]")
-    check(res["cpu_utime_ms"] >= 0 and res["cpu_stime_ms"] >= 0,
-          "report.resources: negative CPU time")
-    prev_t = -math.inf
-    for i, s in enumerate(samples):
-        where = f"report.resources.samples[{i}]"
-        expect_keys(s, ["t_ms", "rss_kb", "utime_ms", "stime_ms", "pool_busy"],
-                    where)
-        if FAILURES:
-            return
-        check(s["t_ms"] >= prev_t, f"{where}: t_ms not monotone")
-        prev_t = s["t_ms"]
-        # The peaks are tracked over EVERY sample taken, kept or not — they
-        # must dominate the whole kept series.
-        check(s["rss_kb"] <= res["peak_rss_kb"],
-              f"{where}: rss_kb {s['rss_kb']} > peak {res['peak_rss_kb']}")
-        check(0.0 <= s["pool_busy"] <= 1.0,
-              f"{where}: pool_busy {s['pool_busy']} outside [0,1]")
-        check(s["pool_busy"] <= res["peak_pool_busy"] + 1e-12,
-              f"{where}: pool_busy above peak_pool_busy")
-    # The report-level peak_rss_kb (getrusage high-water mark) can never be
-    # below what the sampler observed mid-run.
-    check(res["peak_rss_kb"] <= report.get("peak_rss_kb", 0),
-          "report.resources.peak_rss_kb exceeds the process high-water mark")
+    """The "resources" block (an old v5 sampled RSS/CPU timeline) is no
+    longer written; the top-level peak_rss_kb is the process high-water
+    mark."""
+    check("resources" not in report,
+          "report: 'resources' block present (no longer written)")
 
 
 def validate_parse_block(report, expect_mode):

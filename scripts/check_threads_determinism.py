@@ -28,9 +28,7 @@ axes at a fixed thread count with the cross-checker armed. Identical means:
 5. the --progress-ndjson event streams match line for line once the two
    documented volatile fields per line ("seq", "t_ms") are dropped —
    event PAYLOADS are part of the determinism contract
-   (util/event_bus.hpp). Interleaved "rp_resource" sampler lines are
-   wall-clock telemetry and excluded (the sampler stays ENABLED in these
-   runs precisely to prove it cannot perturb placement).
+   (util/event_bus.hpp).
 
 Usage: check_threads_determinism.py <routplace> <rp_report_diff> [threads]
 Exit code 0 on success. `threads` defaults to max(4, hardware).
@@ -76,14 +74,10 @@ NDJSON_VOLATILE = {"seq", "t_ms"}  # stamped by emit(); everything else is paylo
 
 def ndjson_payloads(path):
     """Parse an NDJSON stream into per-line dicts with the volatile stamp
-    fields removed — what the determinism contract says must match. Lines
-    from other schemas ("rp_resource", the wall-clock resource sampler) are
-    interleaved by a background thread and excluded from the contract."""
+    fields removed — what the determinism contract says must match."""
     lines = []
     for raw in Path(path).read_text().splitlines():
         obj = json.loads(raw)
-        if obj.get("schema") != "rp_progress":
-            continue
         lines.append({k: v for k, v in obj.items() if k not in NDJSON_VOLATILE})
     return lines
 

@@ -22,9 +22,8 @@ With --campaign <dir> (an rp_sweep output directory holding campaign.json)
 the tool renders a COMPARATIVE dashboard over every run in the campaign
 instead: per-grid-cell quality/runtime/RSS distributions (five-number box
 plots over seeds), seed-variance tables, an HPWL-vs-overflow pareto
-scatter, the failure matrix (cell x seed status grid — failed runs carry
-their exit code and error block), and per-run RSS timelines from the
-resource sampler. Alongside the HTML it writes two machine-readable
+scatter, and the failure matrix (cell x seed status grid — failed runs
+carry their exit code and error block). Alongside the HTML it writes two machine-readable
 artifacts into the campaign directory:
 
   campaign_summary.json   deterministic per-cell aggregate document
@@ -603,42 +602,6 @@ def campaign_pareto_html(cells, width=520, height=320):
     return "".join(parts) + f"<div class='meta'>{legend}</div>"
 
 
-def campaign_resources_html(cells, width=520, height=180):
-    """Per-run RSS timelines from the report "resources" blocks, colored per
-    cell — the memory envelope of the whole campaign in one chart."""
-    series = []  # (cell_index, cell, seed, [(t_ms, rss_kb)])
-    for ci, (cell, cell_runs) in enumerate(cells.items()):
-        for r in cell_runs:
-            res = (r["report"] or {}).get("resources")
-            if not res or not res.get("samples"):
-                continue
-            pts = [(s["t_ms"], s["rss_kb"]) for s in res["samples"]]
-            series.append((ci, cell, r["seed"], pts))
-    if not series:
-        return ("<div class='meta'>no resource timelines (runs predate the "
-                "sampler or ran with --sample-resources 0)</div>")
-    tmax = max(p[0] for _, _, _, pts in series for p in pts) or 1.0
-    rmax = max(p[1] for _, _, _, pts in series for p in pts) or 1.0
-    pad = 6
-    parts = [f'<svg width="{width}" height="{height}" class="chart">'
-             f'<rect width="{width}" height="{height}" class="chartbg"/>']
-    for ci, cell, seed, pts in series:
-        color = STAGE_COLORS[ci % len(STAGE_COLORS)]
-        svg_pts = " ".join(
-            f"{pad + (width - 2 * pad) * t / tmax:.1f},"
-            f"{height - pad - (height - 2 * pad) * r / rmax:.1f}"
-            for t, r in pts)
-        parts.append(f'<polyline fill="none" stroke="{color}" '
-                     f'stroke-width="1.2" stroke-opacity="0.7" '
-                     f'points="{svg_pts}"><title>{html.escape(cell)} s{seed}'
-                     f'</title></polyline>')
-    parts.append(f'<text x="{pad}" y="14" class="lab">peak {rmax:.0f} kB</text>')
-    parts.append(f'<text x="{pad}" y="{height - 2}" class="lab">'
-                 f'0 … {tmax:.0f} ms</text>')
-    parts.append("</svg>")
-    return "".join(parts)
-
-
 def render_campaign(campaign_dir, out_path):
     manifest, runs = load_campaign(campaign_dir)
     cells = campaign_cells(runs)
@@ -676,8 +639,6 @@ def render_campaign(campaign_dir, out_path):
     parts.append(campaign_distributions_html(cells))
     parts.append("<h2>Pareto: HPWL vs routed overflow</h2>")
     parts.append(campaign_pareto_html(cells))
-    parts.append("<h2>Resource envelope (RSS timelines)</h2>")
-    parts.append(campaign_resources_html(cells))
     parts.append("</body></html>")
     out_path.write_text("\n".join(parts))
 

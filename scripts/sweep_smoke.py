@@ -5,8 +5,8 @@ Drives the real `rp_sweep` binary through a tiny 2x2x2-seed campaign and
 asserts the cross-run observability contract end to end:
 
   * the campaign completes with exit 0 and every run directory holds the
-    captured artifacts (report.json with a populated "resources" time
-    series, progress.ndjson, status.json);
+    captured artifacts (report.json with a positive peak_rss_kb,
+    progress.ndjson, status.json);
   * re-running the FINISHED campaign directory is a no-op: every run is
     resumed (no child respawned) and campaign.json is byte-identical;
   * a second invocation into a FRESH directory produces a byte-identical
@@ -60,7 +60,7 @@ def run(cmd, timeout=240):
 def write_spec(path, extra_axes=None):
     spec = {
         "name": "smoke",
-        "base": {"gen": 200, "rounds": 1, "sample-resources": 5},
+        "base": {"gen": 200, "rounds": 1},
         "axes": extra_axes if extra_axes is not None else {
             "mode": ["routability", "wirelength"],
             "threads": [1, 2],
@@ -99,12 +99,8 @@ def validate_run_dirs(camp_dir, runs):
         report = json.loads(report_path.read_text())
         check(report.get("schema_version") == 5,
               f"{r['id']}: report schema_version != 5")
-        res = report.get("resources")
-        if check(isinstance(res, dict), f"{r['id']}: no 'resources' block"):
-            check(len(res.get("samples", [])) >= 2,
-                  f"{r['id']}: resources has < 2 samples")
-            check(res.get("peak_rss_kb", 0) > 0,
-                  f"{r['id']}: resources.peak_rss_kb not positive")
+        check(report.get("peak_rss_kb", 0) > 0,
+              f"{r['id']}: peak_rss_kb not positive")
 
 
 def main():

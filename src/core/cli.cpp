@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -95,12 +94,6 @@ std::string cli_usage() {
       "  --snapshot-every <n>    also capture a density map every n finest-level\n"
       "                          GP iterations (0 = off, default)\n"
       "  --snapshot-svg          render .svg heatmaps next to the .ppm files\n"
-      "  --sample-resources <ms> resource timeline sampler tick in milliseconds\n"
-      "                          (default 25; 0 disables): a background thread\n"
-      "                          samples RSS / CPU / thread-pool busy fraction\n"
-      "                          into the report's \"resources\" block and, when\n"
-      "                          --progress-ndjson is open, live 'rp_resource'\n"
-      "                          lines. Observation only — never changes results\n"
       "  --verbose               per-iteration placer logging\n"
       "  --help                  this text\n"
       "\n"
@@ -108,7 +101,6 @@ std::string cli_usage() {
       "  RP_LOG_LEVEL            debug|info|warn|error|silent — overrides --verbose\n"
       "  RP_PROFILE              1 = enable the profiler (same as --profile)\n"
       "  RP_SIMD                 auto|off|avx2|neon (--simd wins when both set)\n"
-      "  RP_SAMPLE_MS            resource sampler tick (--sample-resources wins)\n"
       "  RP_CHECK_INCREMENTAL    1 = cross-check every incremental DP delta\n"
       "                          against a full re-evaluation (debug; slow)\n"
       "\n"
@@ -155,8 +147,6 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
     else if (a == "--rounds") cfg.routability_rounds = int_value(i++, a);
     else if (a == "--wl-model") cfg.wl_model = need_value(i++, a);
     else if (a == "--inflate-rate") cfg.inflate_rate = real_value(i++, a);
-    else if (a == "--sample-resources")
-      cfg.sample_resources_ms = int_value(i++, a);
     else if (a == "--threads") cfg.threads = int_value(i++, a);
     else if (a == "--simd") cfg.simd = need_value(i++, a);
     else if (a == "--incremental-eval") {
@@ -201,8 +191,6 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
     throw std::runtime_error("--wl-model must be 'WA' or 'LSE'");
   if (cfg.inflate_rate != -1.0 && (cfg.inflate_rate < 0 || cfg.inflate_rate > 10.0))
     throw std::runtime_error("--inflate-rate must be in [0, 10]");
-  if (cfg.sample_resources_ms < -1)
-    throw std::runtime_error("--sample-resources must be >= 0 (0 = off)");
   if (cfg.threads < 0)
     throw std::runtime_error("--threads must be >= 0 (0 = auto)");
   if (!cfg.simd.empty()) {
@@ -285,28 +273,6 @@ int run_cli(const CliConfig& cfg) {
     RP_THROW(ErrorCode::ResourceError,
              "cannot open progress stream '" + cfg.progress_ndjson + "'");
 
-  // Resource timeline sampler: on by default (--sample-resources 0 turns it
-  // off). Started AFTER the progress stream opens so its live rp_resource
-  // lines have a sink, stopped BEFORE close_stream()/report writing on every
-  // exit path (the write_raw_line contract).
-  {
-    int tick_ms = cfg.sample_resources_ms;
-    if (tick_ms < 0) {
-      tick_ms = obs::ResourceSampler::kDefaultTickMs;
-      if (const char* env = std::getenv("RP_SAMPLE_MS");
-          env != nullptr && env[0] != '\0') {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 0) tick_ms = static_cast<int>(v);
-      }
-    }
-    if (tick_ms > 0) {
-      obs::ResourceSampler::Options so;
-      so.tick_ms = tick_ms;
-      so.stream = &obs_ctx->events();
-      obs_ctx->sampler().start(so);
-    }
-  }
-
   const auto dump_flight = [&](const char* reason) {
     if (cfg.flight_json.empty()) return;
     if (obs_ctx->events().dump_flight(cfg.flight_json, reason,
@@ -322,7 +288,6 @@ int run_cli(const CliConfig& cfg) {
     obs::Event ev = obs_ctx->events().make(obs::EventKind::RunError, e.code_name());
     ev.i0 = e.exit_code();
     obs_ctx->events().emit(ev);
-    obs_ctx->sampler().stop();  // before close_stream; the report reads it
     obs_ctx->events().close_stream();
     if (trace_active) {
       telemetry::stop_trace();
@@ -383,10 +348,7 @@ int run_cli(const CliConfig& cfg) {
     return report_error(e, meta);
   }
 
-  // The flow emitted its RunEnd event; the stream is complete. Stop the
-  // sampler first (it may still be streaming rp_resource lines) so the
-  // report below sees the final timeline.
-  obs_ctx->sampler().stop();
+  // The flow emitted its RunEnd event; the stream is complete.
   obs_ctx->events().close_stream();
   // Watchdog expiry is a degraded-but-completed run: leave the black box.
   if (obs_ctx->registry().counter_value("guard.watchdog_gp_iters") +

@@ -26,8 +26,6 @@ struct CliConfig {
   int routability_rounds = 3;
   std::string wl_model;      ///< "WA" | "LSE"; empty = the mode's default.
   double inflate_rate = -1.0;  ///< Inflation step per round; < 0 = default.
-  int sample_resources_ms = -1;  ///< Resource-sampler tick; 0 = off,
-                                 ///< -1 = auto (RP_SAMPLE_MS env, else 25).
   int threads = 0;           ///< 0 = auto (RP_THREADS env, else hardware).
   std::string simd;          ///< "auto"|"off"|"avx2"|"neon"; empty = RP_SIMD env.
   bool incremental_eval = true;  ///< DP candidate evaluation via cached deltas.

@@ -164,7 +164,7 @@ FlowResult PlacementFlow::run(Design& d) {
             r.eval.legality.ok() ? "yes" : "NO");
   });
   if (snap) {
-    snap->finalize();
+    snap->finalize(r.gp_trace);
     r.snapshot_dir = snap->dir();
   }
   {

@@ -138,7 +138,6 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
       bus.emit(e);
     }
     if (opt_.snapshot != nullptr) {
-      opt_.snapshot->record_point(tp);
       const int every = opt_.snapshot->options().density_every;
       if (every > 0 && level_tag == 0 && outer % every == 0) {
         char nm[48];

@@ -134,9 +134,8 @@ const std::vector<std::string>& report_diff_default_ignores() {
   // every vector level and with incremental eval on or off — only the
   // provenance strings differ), the profiler block ("profile" is dotless so
   // the key's very presence — one run profiled, the other not — is ignored
-  // too, not just its leaves), and the sampled resource timeline
-  // ("resources", dotless for the same reason: wall-clock RSS/CPU
-  // observations are nondeterministic by nature).
+  // too, not just its leaves), and the sampled resource timeline that older
+  // v5 reports carry ("resources", dotless for the same reason).
   static const std::vector<std::string> kIgnores = {
       "stage_times", "stage_total_sec", "peak_rss_kb", "build.", "snapshot_dir",
       "parallel.", "simd.", "profile", "resources",

@@ -108,11 +108,11 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
 
   JsonWriter w(indent);
   w.begin_object();
-  // v5: adds the optional "resources" block (sampled RSS/CPU/pool-busy
-  // timeline); v4 added the "events" block and reads the parse block's
-  // repair counts from the per-run counters; v3 the optional
-  // "parse"/"error" blocks; v2 the optional "profile" block. Every earlier
-  // field is unchanged, so old consumers keep working.
+  // v5 added an optional "resources" block that is no longer written; v4
+  // added the "events" block and reads the parse block's repair counts from
+  // the per-run counters; v3 the optional "parse"/"error" blocks; v2 the
+  // optional "profile" block. Every earlier field is unchanged, so old
+  // consumers keep working.
   w.kv("schema_version", 5);
   w.kv("tool", "routplace");
 
@@ -270,34 +270,6 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
   // Like "parallel": runtime provenance, ignored by rp_report_diff and the
   // determinism check (timings differ run to run by construction).
   if (profiler::enabled()) profiler::write_report_block(w);
-
-  // Sampled resource timeline (schema v5). Wall-clock observations — the
-  // whole block is on the report-diff/determinism ignore lists. Present only
-  // when the run's sampler was started (--sample-resources > 0).
-  const obs::ResourceSampler::Summary res = obs_ctx.sampler().summary();
-  if (res.enabled) {
-    w.key("resources").begin_object();
-    w.kv("tick_ms", static_cast<std::int64_t>(res.tick_ms));
-    w.kv("effective_tick_ms", static_cast<std::int64_t>(res.effective_tick_ms));
-    w.kv("downsample_rounds", static_cast<std::int64_t>(res.downsample_rounds));
-    w.kv("samples_taken", res.samples_taken);
-    w.kv("peak_rss_kb", res.peak_rss_kb);
-    w.kv("peak_pool_busy", res.peak_pool_busy);
-    w.kv("cpu_utime_ms", static_cast<std::int64_t>(res.cpu_utime_ms));
-    w.kv("cpu_stime_ms", static_cast<std::int64_t>(res.cpu_stime_ms));
-    w.key("samples").begin_array();
-    for (const obs::ResourceSample& s : res.samples) {
-      w.begin_object();
-      w.kv("t_ms", static_cast<std::int64_t>(s.t_ms));
-      w.kv("rss_kb", s.rss_kb);
-      w.kv("utime_ms", static_cast<std::int64_t>(s.utime_ms));
-      w.kv("stime_ms", static_cast<std::int64_t>(s.stime_ms));
-      w.kv("pool_busy", s.pool_busy);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
 
   w.kv("peak_rss_kb", static_cast<std::int64_t>(telemetry::peak_rss_kb()));
   w.kv("snapshot_dir", r.snapshot_dir);

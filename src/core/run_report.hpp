@@ -24,12 +24,10 @@
 //   ("parse.repair.*") instead of a RunReportMeta field, and the whole
 //   report reads counters/gauges through FlowResult::obs when set — so a
 //   report for run A is correct even while run B is bound on this thread.
-//   v5 additions: optional "resources" block (util/resource_sampler.hpp):
-//   sampled RSS/CPU/pool-busy timeline {tick_ms, effective_tick_ms,
-//   downsample_rounds, samples_taken, peak_rss_kb, peak_pool_busy,
-//   cpu_utime_ms, cpu_stime_ms, samples[{t_ms, rss_kb, utime_ms, stime_ms,
-//   pool_busy}]}. Wall-clock observations: on the report-diff/determinism
-//   ignore lists, like "profile".
+//   v5 additions: an optional "resources" block (a sampled RSS/CPU/pool-busy
+//   timeline). It is no longer written; the version stays 5 because the
+//   block was always optional, and "resources" stays on the report-diff and
+//   determinism ignore lists so older v5 reports still compare clean.
 
 #include <cstdint>
 #include <string>

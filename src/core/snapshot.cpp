@@ -49,7 +49,7 @@ SnapshotRecorder::SnapshotRecorder(SnapshotOptions opt) : opt_(std::move(opt)) {
 }
 
 SnapshotRecorder::~SnapshotRecorder() {
-  if (ok_ && !finalized_) finalize();
+  if (ok_ && !finalized_) finalize({});
 }
 
 void SnapshotRecorder::record_grid(const std::string& stage, const std::string& name,
@@ -78,15 +78,11 @@ void SnapshotRecorder::record_grid(const std::string& stage, const std::string& 
   maps_.push_back(std::move(e));
 }
 
-void SnapshotRecorder::record_point(const GpTracePoint& p) {
-  if (ok_) points_.push_back(p);
-}
-
 void SnapshotRecorder::record_round(const SnapshotRoundRecord& r) {
   if (ok_) rounds_.push_back(r);
 }
 
-bool SnapshotRecorder::finalize() {
+bool SnapshotRecorder::finalize(const std::vector<GpTracePoint>& gp_trace) {
   if (!ok_ || finalized_) return ok_;
   finalized_ = true;
 
@@ -94,7 +90,7 @@ bool SnapshotRecorder::finalize() {
   conv.begin_object();
   conv.kv("schema_version", 1);
   conv.key("points").begin_array();
-  for (const GpTracePoint& p : points_) {
+  for (const GpTracePoint& p : gp_trace) {
     // A reheat round's points carry level -r; the file splits that into
     // level 0, round r.
     conv.begin_object();
@@ -134,7 +130,7 @@ bool SnapshotRecorder::finalize() {
   man.kv("schema_version", 1);
   man.kv("tool", "routplace-snapshot");
   man.kv("convergence", "convergence.json");
-  man.kv("num_points", static_cast<int>(points_.size()));
+  man.kv("num_points", static_cast<int>(gp_trace.size()));
   man.kv("num_rounds", static_cast<int>(rounds_.size()));
   man.key("maps").begin_array();
   for (const MapEntry& e : maps_) {
@@ -157,7 +153,7 @@ bool SnapshotRecorder::finalize() {
   man.end_object();
   ok = write_text_file(opt_.dir + "/manifest.json", man.str()) && ok;
   RP_INFO("snapshot: %d maps, %d convergence points -> '%s'",
-          static_cast<int>(maps_.size()), static_cast<int>(points_.size()),
+          static_cast<int>(maps_.size()), static_cast<int>(gp_trace.size()),
           opt_.dir.c_str());
   return ok;
 }

@@ -64,15 +64,16 @@ class SnapshotRecorder {
   void record_grid(const std::string& stage, const std::string& name,
                    const Grid2D<double>& g);
 
-  void record_point(const GpTracePoint& p);
   void record_round(const SnapshotRoundRecord& r);
 
   int num_maps() const { return static_cast<int>(maps_.size()); }
-  int num_points() const { return static_cast<int>(points_.size()); }
 
-  /// Write manifest.json + convergence.json. Idempotent; called by the flow
-  /// (and from the destructor as a safety net). Returns false on I/O errors.
-  bool finalize();
+  /// Write manifest.json + convergence.json, whose points are `gp_trace`
+  /// (the GP run's GlobalPlacer::trace()). Idempotent; called by the flow
+  /// after GP. The destructor is a safety net for a flow that unwound early:
+  /// it writes the maps and rounds with no points. Returns false on I/O
+  /// errors.
+  bool finalize(const std::vector<GpTracePoint>& gp_trace);
 
  private:
   struct MapEntry {
@@ -85,7 +86,6 @@ class SnapshotRecorder {
 
   SnapshotOptions opt_;
   std::vector<MapEntry> maps_;
-  std::vector<GpTracePoint> points_;
   std::vector<SnapshotRoundRecord> rounds_;
   int seq_ = 0;
   bool ok_ = false;

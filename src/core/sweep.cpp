@@ -33,8 +33,8 @@ const std::set<std::string>& allowed_flags() {
       "aux",          "density",     "gen",           "incremental-eval",
       "inflate-rate", "legalizer",   "lenient",       "max-gp-iters",
       "max-seconds",  "mode",        "profile",       "rounds",
-      "sample-resources", "simd",    "skip-dp",       "strict",
-      "supply",       "threads",     "verbose",       "wl-model",
+      "simd",         "skip-dp",     "strict",        "supply",
+      "threads",      "verbose",     "wl-model",
   };
   return k;
 }

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "util/logger.hpp"
 #include "util/profiler.hpp"
@@ -215,20 +214,6 @@ void EventBus::emit(Event e) {
       close_stream();
     }
   }
-}
-
-bool EventBus::write_raw_line(const char* data, std::size_t len) {
-  const int fd = stream_fd_;
-  if (fd < 0 || len == 0) return false;
-  // Single buffer, single write(): the kernel serializes concurrent writes
-  // on the shared fd, so this line cannot split an emit()ed line (or vice
-  // versa). No close-on-failure here — the bus's owning thread manages the
-  // stream lifetime.
-  char buf[512];
-  if (len + 1 > sizeof buf) len = sizeof buf - 1;  // tag lines are short
-  std::memcpy(buf, data, len);
-  buf[len] = '\n';
-  return write_all(fd, buf, len + 1);
 }
 
 bool EventBus::open_stream(const std::string& target) {

@@ -112,18 +112,6 @@ class EventBus {
   void close_stream();
   bool streaming() const { return stream_fd_ >= 0; }
 
-  /// Write one pre-formatted NDJSON line to the progress stream, bypassing
-  /// the ring/seq machinery. Used by the resource sampler's BACKGROUND
-  /// thread for "rp_resource" lines: wall-clock observations, not
-  /// deterministic flow events — they carry no bus sequence number and never
-  /// enter the flight recorder (determinism tooling filters them by their
-  /// distinct "schema"). One write() per line keeps lines intact when
-  /// interleaved with emit(). Contract: stop any background writer BEFORE
-  /// close_stream(). A trailing '\n' is appended. Returns false when no
-  /// stream is open or the write failed (the stream is NOT closed — that is
-  /// the owning thread's call).
-  bool write_raw_line(const char* data, std::size_t len);
-
   // -------------------------------------------------------- flight recorder
   /// Copy the last (up to `max`) events, oldest first. Returns the count.
   int flight_events(Event* out, int max) const;

@@ -6,8 +6,7 @@
 //    ├── telemetry::Registry    counters + gauges   (RP_COUNT / RP_GAUGE)
 //    ├── telemetry::TraceBuffer Chrome-trace spans  (RP_TRACE_SPAN)
 //    ├── profiler::Profiler     region histograms   (RP_PROFILE_REGION)
-//    ├── obs::EventBus          typed events, NDJSON stream, flight recorder
-//    └── obs::ResourceSampler   RSS/CPU/pool-busy timeline (schema-v5 block)
+//    └── obs::EventBus          typed events, NDJSON stream, flight recorder
 //
 // Every flow run owns a context: the caller's (FlowOptions::obs), or a fresh
 // one the run makes, returned in FlowResult::obs. So two runs in one process
@@ -52,7 +51,6 @@
 
 #include "util/event_bus.hpp"
 #include "util/profiler.hpp"
-#include "util/resource_sampler.hpp"
 #include "util/telemetry.hpp"
 
 namespace rp::obs {
@@ -71,8 +69,6 @@ class ObsContext {
   profiler::Profiler& profiler() { return profiler_; }
   EventBus& events() { return events_; }
   const EventBus& events() const { return events_; }
-  ResourceSampler& sampler() { return sampler_; }
-  const ResourceSampler& sampler() const { return sampler_; }
 
   /// Zero counters/gauges and profiler histograms in place (slot addresses
   /// and epochs are preserved; the event bus and trace buffer are not
@@ -87,9 +83,6 @@ class ObsContext {
   telemetry::TraceBuffer trace_;
   profiler::Profiler profiler_;
   EventBus events_;
-  // Declared AFTER events_: destroyed first, so a still-running sampler is
-  // stopped (its dtor) before the bus it may be streaming into goes away.
-  ResourceSampler sampler_;
 };
 
 /// The fallback context used by threads with no explicit binding — the old

@@ -219,7 +219,7 @@ struct ThreadPool::Impl {
   /// Claim and run chunks of job `tag` (ascending indices) until none is
   /// left, then add them to `done`, waking a parked submitter when they were
   /// the job's last. A thread that claims nothing touches no job state.
-  void run_chunks(std::uint32_t tag, int worker, std::atomic<int>& busy_workers) {
+  void run_chunks(std::uint32_t tag, int worker) {
     const std::uint64_t tagged = std::uint64_t{tag} << 32;
     std::uint64_t cur = cursor.load();
     int ran = 0, count = 0;
@@ -231,7 +231,6 @@ struct ThreadPool::Impl {
         instrument = job_instrument;
         trace = job_trace;
         t_in_region = true;
-        busy_workers.fetch_add(1, std::memory_order_relaxed);
       }
       const int c = count - static_cast<int>(cur & kLeftMask);
       if (instrument) {
@@ -245,7 +244,6 @@ struct ThreadPool::Impl {
       cur = cursor.load();
     }
     if (ran == 0) return;
-    busy_workers.fetch_sub(1, std::memory_order_relaxed);
     t_in_region = false;
     if (done.fetch_add(ran) + ran == count && caller_parked.load()) done.notify_one();
   }
@@ -312,7 +310,7 @@ void ThreadPool::worker_loop(int worker_id, std::uint32_t seen) {
                    });
     if (s.shutdown.load()) return;
     seen = s.epoch.load();
-    s.run_chunks(seen, worker_id, busy_workers_);
+    s.run_chunks(seen, worker_id);
   }
 }
 
@@ -328,8 +326,6 @@ void ThreadPool::run(const ChunkPlan& plan, const std::function<void(int, int)>&
     // would double-count busy time, so only top-level regions are profiled.
     const bool profile = !was_in_region && g_pool_profiling;
     t_in_region = true;
-    // Nested regions are already counted by their enclosing top-level region.
-    if (!was_in_region) busy_workers_.fetch_add(1, std::memory_order_relaxed);
     if (profile) {
       std::unique_lock<std::mutex> submit_lk(impl_->submit_m);
       Impl::WorkerSlot& slot = impl_->slots[0];
@@ -346,7 +342,6 @@ void ThreadPool::run(const ChunkPlan& plan, const std::function<void(int, int)>&
       for (int c = 0; c < plan.count; ++c) fn(c, 0);
       t_in_region = was_in_region;
     }
-    if (!was_in_region) busy_workers_.fetch_sub(1, std::memory_order_relaxed);
     return;
   }
   Impl& s = *impl_;
@@ -366,7 +361,7 @@ void ThreadPool::run(const ChunkPlan& plan, const std::function<void(int, int)>&
   s.cursor.store(std::uint64_t{tag} << 32 | static_cast<std::uint32_t>(count));
   s.epoch.store(tag);
   if (s.parked.load() > 0) s.epoch.notify_all();
-  s.run_chunks(tag, 0, busy_workers_);  // the caller is worker 0
+  s.run_chunks(tag, 0);  // the caller is worker 0
   spin_then_park([&] { return s.done.load() == count; },
                  [&] {
                    // Mirror of the worker park: the chunk that completes the

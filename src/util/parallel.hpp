@@ -152,12 +152,6 @@ class ThreadPool {
   std::int64_t regions_run() const { return regions_.load(std::memory_order_relaxed); }
   std::int64_t chunks_run() const { return chunks_.load(std::memory_order_relaxed); }
 
-  /// Threads (caller included) currently executing chunks of an active
-  /// region — an instantaneous gauge for the resource sampler's pool-busy
-  /// fraction. Maintained with two relaxed RMWs per worker per REGION (not
-  /// per chunk), so the hot path is untouched; always in [0, threads()].
-  int busy_workers() const { return busy_workers_.load(std::memory_order_relaxed); }
-
  private:
   friend PoolProfile pool_profile();
   friend void reset_pool_profile();
@@ -172,7 +166,6 @@ class ThreadPool {
   int threads_ = 1;
   std::atomic<std::int64_t> regions_{0};
   std::atomic<std::int64_t> chunks_{0};
-  std::atomic<int> busy_workers_{0};
 };
 
 /// parallel_for over [0, n): body(begin, end, worker) per chunk.

@@ -46,6 +46,8 @@ TEST(Cli, ParsesAllOptions) {
 
 TEST(Cli, RejectsUnknownOption) {
   EXPECT_THROW(parse_cli_args({"--frobnicate"}), std::runtime_error);
+  // A retired option is unknown too (main() maps the throw to exit 2).
+  EXPECT_THROW(parse_cli_args({"--sample-resources", "5"}), std::runtime_error);
 }
 
 TEST(Cli, RejectsMissingValue) {
@@ -83,7 +85,6 @@ TEST(Cli, RejectsIntValuesThatDoNotFitAnInt) {
   EXPECT_THROW(parse_cli_args({"--max-gp-iters", "4294967297"}), std::runtime_error);
   EXPECT_THROW(parse_cli_args({"--snapshot-every", "4294967297", "--snapshot-dir", "s"}),
                std::runtime_error);
-  EXPECT_THROW(parse_cli_args({"--sample-resources", "4294967297"}), std::runtime_error);
 }
 
 TEST(Cli, RejectsNonFiniteRealValues) {
@@ -193,38 +194,6 @@ TEST(Cli, ParsesWlModelAndInflateRate) {
   EXPECT_NE(cli_usage().find("--inflate-rate"), std::string::npos);
 }
 
-TEST(Cli, ParsesSampleResourcesFlag) {
-  EXPECT_EQ(parse_cli_args({}).sample_resources_ms, -1);  // -1 = env/default
-  EXPECT_EQ(parse_cli_args({"--sample-resources", "0"}).sample_resources_ms, 0);
-  EXPECT_EQ(parse_cli_args({"--sample-resources", "100"}).sample_resources_ms,
-            100);
-  EXPECT_THROW(parse_cli_args({"--sample-resources", "-5"}),
-               std::runtime_error);
-  EXPECT_NE(cli_usage().find("--sample-resources"), std::string::npos);
-  EXPECT_NE(cli_usage().find("RP_SAMPLE_MS"), std::string::npos);
-}
-
-TEST(Cli, SampleResourcesZeroDropsTheBlock) {
-  Logger::set_level(LogLevel::Error);
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "rp_cli_nosample";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const fs::path report = dir / "run.report.json";
-  CliConfig c = parse_cli_args(
-      {"--gen", "200", "--seed", "3", "--rounds", "0",
-       "--sample-resources", "0",
-       "--out", (dir / "out.pl").string(), "--report-json", report.string()});
-  EXPECT_EQ(run_cli(c), 0);
-  std::ifstream in(report);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const JsonValue rep = json_parse(ss.str());
-  EXPECT_EQ(rep.at("schema_version").num, 5.0);
-  EXPECT_FALSE(rep.has("resources"));  // sampler off — block absent
-  fs::remove_all(dir);
-}
-
 TEST(Cli, EndToEndEmitsReportAndTrace) {
   Logger::set_level(LogLevel::Error);
   namespace fs = std::filesystem;
@@ -250,12 +219,8 @@ TEST(Cli, EndToEndEmitsReportAndTrace) {
   const JsonValue rep = json_parse(slurp(report));
   EXPECT_EQ(rep.at("schema_version").num, 5.0);
   EXPECT_FALSE(rep.has("profile"));  // off by default — the block is absent
-  // v5: the resource sampler is on by default; the timeline always keeps
-  // at least the forced first + final samples.
-  ASSERT_TRUE(rep.has("resources"));
-  EXPECT_GT(rep.at("resources").at("tick_ms").num, 0.0);
-  EXPECT_GE(rep.at("resources").at("samples").arr.size(), 2u);
-  EXPECT_GT(rep.at("resources").at("peak_rss_kb").num, 0.0);
+  EXPECT_FALSE(rep.has("resources"));  // no longer written
+  EXPECT_GT(rep.at("peak_rss_kb").num, 0.0);
   EXPECT_EQ(rep.at("design").at("name").str, "gen300");
   EXPECT_GT(rep.at("eval").at("hpwl").num, 0.0);
   EXPECT_GE(rep.at("eval").at("scaled_hpwl").num, rep.at("eval").at("hpwl").num);

@@ -142,14 +142,12 @@ TEST(Snapshot, RecorderWritesManifestAndArtifacts) {
     GpTracePoint p;
     p.outer = 1;
     p.hpwl = 123.0;
-    rec.record_point(p);
     SnapshotRoundRecord r;
     r.round = 1;
     r.cells_inflated = 7;
     rec.record_round(r);
     EXPECT_EQ(rec.num_maps(), 2);
-    EXPECT_EQ(rec.num_points(), 1);
-    EXPECT_TRUE(rec.finalize());
+    EXPECT_TRUE(rec.finalize({p}));
   }
 
   const JsonValue man = json_parse(slurp(dir / "manifest.json"));
@@ -160,6 +158,7 @@ TEST(Snapshot, RecorderWritesManifestAndArtifacts) {
   EXPECT_EQ(m0.at("name").str, "overflow");
   EXPECT_EQ(m0.at("nx").num, 5.0);
   EXPECT_EQ(m0.at("ny").num, 5.0);
+  EXPECT_EQ(man.at("num_points").num, 1.0);
   // Paths in the manifest are dir-relative, exist, and parse as grids.
   for (const JsonValue& m : man.at("maps").arr) {
     const fs::path grid = dir / m.at("grid").str;
@@ -190,15 +189,14 @@ TEST(Snapshot, ConvergenceSplitsReheatRoundsFromLevels) {
   {
     SnapshotRecorder rec(opt);
     ASSERT_TRUE(rec.ok());
-    GpTracePoint p;
-    p.level = 2;
-    p.outer = 4;
-    p.gamma = 8.5;
-    rec.record_point(p);
-    p.level = -3;
-    p.outer = 1;
-    rec.record_point(p);
-    EXPECT_TRUE(rec.finalize());
+    GpTracePoint main_pt;
+    main_pt.level = 2;
+    main_pt.outer = 4;
+    main_pt.gamma = 8.5;
+    GpTracePoint reheat_pt = main_pt;
+    reheat_pt.level = -3;
+    reheat_pt.outer = 1;
+    EXPECT_TRUE(rec.finalize({main_pt, reheat_pt}));
   }
   const JsonValue conv = json_parse(slurp(dir / "convergence.json"));
   ASSERT_EQ(conv.at("points").arr.size(), 2u);
@@ -303,8 +301,7 @@ TEST(ReportDiff, SnapshotDirsSelfCleanAndGridDeltaDetected) {
     rec.record_grid("round1", "overflow", ramp_grid(6, 6));
     GpTracePoint p;
     p.hpwl = 55.0;
-    rec.record_point(p);
-    ASSERT_TRUE(rec.finalize());
+    ASSERT_TRUE(rec.finalize({p}));
   }
   EXPECT_TRUE(diff_snapshot_dirs(dir_a.string(), dir_b.string()).clean());
 

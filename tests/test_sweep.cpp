@@ -82,6 +82,8 @@ TEST(SweepSpecParse, IllegalSpecsAreValidationErrors) {
   EXPECT_EQ(thrown_exit_code(R"({"axes": {"report-json": ["a"]}})"), 4);
   // Unknown placer flag.
   EXPECT_EQ(thrown_exit_code(R"({"base": {"frobnicate": 1}})"), 4);
+  // A retired placer flag is unknown too.
+  EXPECT_EQ(thrown_exit_code(R"({"base": {"sample-resources": 5}})"), 4);
   // Empty axis, duplicate seeds, negative seed.
   EXPECT_EQ(thrown_exit_code(R"({"axes": {"mode": []}})"), 4);
   EXPECT_EQ(thrown_exit_code(R"({"seeds": [1, 1]})"), 4);
