@@ -4,11 +4,12 @@
 //  (a) accuracy: |model − HPWL| / HPWL for WA and LSE across a γ sweep on
 //      random netlists (WA must sit strictly below LSE at every γ — the
 //      paper-series' theoretical claim);
-//  (b) speed: google-benchmark timings of a full model+gradient evaluation.
+//  (b) speed: median wall time of a full model+gradient evaluation.
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "gen/generator.hpp"
 #include "model/wirelength.hpp"
@@ -40,50 +41,58 @@ void accuracy_table() {
     std::printf("%10.2f %13.4f%% %13.4f%% %10.3f\n", gamma, 100 * le, 100 * we,
                 le > 0 ? we / le : 0.0);
   }
-  std::printf("\n(b) evaluation speed (google-benchmark)\n");
 }
 
-void BM_LseEval(benchmark::State& state) {
-  static const rp::PlaceProblem p = bench_problem();
-  rp::LseWirelength lse(9.0);
+/// Median wall time of `reps` calls of fn(), in milliseconds.
+template <typename Fn>
+double median_ms(int reps, Fn&& fn) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> ms;
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = Clock::now();
+    fn();
+    ms.push_back(std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+  }
+  std::sort(ms.begin(), ms.end());
+  const std::size_t n = ms.size();
+  return n % 2 ? ms[n / 2] : 0.5 * (ms[n / 2 - 1] + ms[n / 2]);
+}
+
+void speed_table() {
+  using namespace rp;
+  const PlaceProblem p = bench_problem();
+  constexpr int kReps = 51;
+  LseWirelength lse(9.0);
+  WaWirelength wa(9.0);
   std::vector<double> gx(p.nodes.size()), gy(p.nodes.size());
-  for (auto _ : state) {
+  volatile double sink = 0;  // keeps every timed result observable
+  const auto model_eval = [&](const WirelengthModel& m) {
     std::fill(gx.begin(), gx.end(), 0.0);
     std::fill(gy.begin(), gy.end(), 0.0);
-    benchmark::DoNotOptimize(lse.eval(p, gx, gy));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(p.pins.size()));
+    sink = sink + m.eval(p, gx, gy);
+  };
+  const double lse_ms = median_ms(kReps, [&] { model_eval(lse); });
+  const double wa_ms = median_ms(kReps, [&] { model_eval(wa); });
+  const double hpwl_ms = median_ms(kReps, [&] { sink = sink + p.hpwl(); });
+  const double pins = static_cast<double>(p.pins.size());
+  std::printf("\n(b) evaluation speed (median of %d, %zu pins)\n", kReps, p.pins.size());
+  std::printf("%-22s %10s %12s\n", "kernel", "ms/eval", "Mpins/s");
+  const auto row = [&](const char* name, double ms) {
+    std::printf("%-22s %10.3f %12.1f\n", name, ms, ms > 0 ? pins / (ms * 1e3) : 0.0);
+  };
+  row("LSE value+gradient", lse_ms);
+  row("WA value+gradient", wa_ms);
+  row("exact HPWL", hpwl_ms);
+  std::printf("WA/LSE time ratio: %.2f\n", lse_ms > 0 ? wa_ms / lse_ms : 0.0);
 }
-BENCHMARK(BM_LseEval);
-
-void BM_WaEval(benchmark::State& state) {
-  static const rp::PlaceProblem p = bench_problem();
-  rp::WaWirelength wa(9.0);
-  std::vector<double> gx(p.nodes.size()), gy(p.nodes.size());
-  for (auto _ : state) {
-    std::fill(gx.begin(), gx.end(), 0.0);
-    std::fill(gy.begin(), gy.end(), 0.0);
-    benchmark::DoNotOptimize(wa.eval(p, gx, gy));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(p.pins.size()));
-}
-BENCHMARK(BM_WaEval);
-
-void BM_ExactHpwl(benchmark::State& state) {
-  static const rp::PlaceProblem p = bench_problem();
-  for (auto _ : state) benchmark::DoNotOptimize(p.hpwl());
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(p.pins.size()));
-}
-BENCHMARK(BM_ExactHpwl);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::printf("==============================================================\n");
   std::printf("Fig. 8 — wirelength models: WA vs LSE accuracy & speed\n");
   std::printf("==============================================================\n");
   accuracy_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  speed_table();
   return 0;
 }

@@ -30,6 +30,19 @@ axes at a fixed thread count with the cross-checker armed. Identical means:
    event PAYLOADS are part of the determinism contract
    (util/event_bus.hpp).
 
+One more leg pins the flow across commits, not just across
+configurations: rp_report_diff (default volatile-key ignores, zero
+tolerance) must find run_1's report identical to the committed golden
+report tests/golden/gen700_s13.report.json. So any change to a placement,
+a metric, the GP trace or the event count (events.emitted) fails here
+unless the golden is re-recorded on purpose, from the repository root:
+
+  mkdir -p /tmp/g && RP_SIMD=off build/src/core/routplace --gen 700 \
+      --seed 13 --rounds 2 --threads 1 --incremental-eval off \
+      --out /tmp/g/out.pl --snapshot-dir /tmp/g/snapshots \
+      --progress-ndjson /tmp/g/progress.ndjson \
+      --report-json tests/golden/gen700_s13.report.json
+
 Usage: check_threads_determinism.py <routplace> <rp_report_diff> [threads]
 Exit code 0 on success. `threads` defaults to max(4, hardware).
 """
@@ -43,6 +56,9 @@ import tempfile
 from pathlib import Path
 
 FAILURES = []
+
+GOLDEN_REPORT = (Path(__file__).resolve().parent.parent
+                 / "tests" / "golden" / "gen700_s13.report.json")
 
 # Keys that legitimately differ between two identical runs (mirrors
 # report_diff_default_ignores() in src/core/report_diff.cpp). "profile" is
@@ -197,6 +213,17 @@ def main():
         compare_runs(report_diff, run_1, run_n)
         compare_runs(report_diff, run_1, run_s)
 
+        # Golden leg: run_1 must still reproduce the committed report.
+        proc = subprocess.run(
+            [str(report_diff), str(GOLDEN_REPORT),
+             str(run_1 / "run.report.json")],
+            capture_output=True, text=True, timeout=120)
+        check(proc.returncode == 0 and "identical" in proc.stdout,
+              f"run_1 differs from the golden report {GOLDEN_REPORT.name} "
+              f"(rp_report_diff exited {proc.returncode}; re-record it as "
+              f"this script's docstring says only if the change is "
+              f"intended):\n{proc.stdout[-2000:]}{proc.stderr[-500:]}")
+
         # Sanity: the runs really exercised the asymmetric configurations
         # (the asymmetry is the point).
         rep_1 = json.loads((run_1 / "run.report.json").read_text())
@@ -225,7 +252,7 @@ def main():
         return 1
     print(f"check_threads_determinism: OK (threads 1/{max_threads} x "
           f"RP_SIMD off/auto x incremental off/on: placement, snapshots, "
-          f"and report all identical)")
+          f"and report all identical; run_1 matches {GOLDEN_REPORT.name})")
     return 0
 
 

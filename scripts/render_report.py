@@ -23,13 +23,9 @@ the tool renders a COMPARATIVE dashboard over every run in the campaign
 instead: per-grid-cell quality/runtime/RSS distributions (five-number box
 plots over seeds), seed-variance tables, an HPWL-vs-overflow pareto
 scatter, and the failure matrix (cell x seed status grid — failed runs
-carry their exit code and error block). Alongside the HTML it writes two machine-readable
-artifacts into the campaign directory:
-
-  campaign_summary.json   deterministic per-cell aggregate document
-  campaign_trend.jsonl    one {"schema": "campaign_cell", ...} row per cell
-                          with median quality/runtime — the hook that lets
-                          bench_trend.py aggregate + gate campaign medians
+carry their exit code and error block). Alongside the HTML it writes
+campaign_summary.json, a deterministic per-cell aggregate document, into
+the campaign directory.
 
 Usage: render_report.py --campaign <dir> [-o out.html]
 """
@@ -461,26 +457,6 @@ def campaign_summary_doc(manifest, runs):
     }
 
 
-def campaign_trend_rows(summary):
-    """campaign_cell JSONL rows — the bench_trend.py aggregation hook. Only
-    cells with at least one OK run are emitted (a failed cell has no
-    medians to gate)."""
-    rows = []
-    for cell in summary["cells"]:
-        m = cell["metrics"]
-        if not m:
-            continue
-        row = {"schema": "campaign_cell", "v": 1, "cell": cell["cell"],
-               "n": cell["ok"]}
-        for src, dst in (("hpwl", "hpwl_median"), ("rc", "rc_median"),
-                         ("overflow", "overflow_median"),
-                         ("runtime_sec", "runtime_median_sec")):
-            if src in m:
-                row[dst] = m[src]["median"]
-        rows.append(row)
-    return rows
-
-
 def svg_box(stats, lo, hi, width=220, height=18):
     """One horizontal five-number box plot on a shared [lo, hi] scale."""
     span = hi - lo if hi > lo else 1.0
@@ -644,13 +620,8 @@ def render_campaign(campaign_dir, out_path):
 
     summary_path = campaign_dir / "campaign_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    trend_path = campaign_dir / "campaign_trend.jsonl"
-    trend_path.write_text("".join(
-        json.dumps(row, sort_keys=True) + "\n"
-        for row in campaign_trend_rows(summary)))
     print(f"render_report: wrote {out_path}")
     print(f"render_report: wrote {summary_path}")
-    print(f"render_report: wrote {trend_path}")
     return 0
 
 

@@ -12,12 +12,9 @@ asserts the cross-run observability contract end to end:
   * a second invocation into a FRESH directory produces a byte-identical
     campaign.json — the manifest is a pure function of (spec, results);
   * `render_report.py --campaign` renders the dashboard and writes
-    campaign_summary.json + campaign_trend.jsonl whose deterministic
-    content (quality medians; runtime/RSS scrubbed as documented volatile)
-    matches between the two invocations;
-  * the campaign_trend.jsonl rows aggregate through bench_trend.py, the
-    self-compare gate passes, and deleting a whole metric family from the
-    fresh side fails with the family-presence error (exit nonzero);
+    campaign_summary.json whose deterministic content (quality; runtime
+    and RSS scrubbed as documented volatile) matches between the two
+    invocations;
   * a campaign with a deliberately failing grid cell (--aux pointing at a
     malformed benchmark) exits 1, RECORDS the failed run in the manifest
     with exit code 3 / status ParseError / the report's error block, and
@@ -26,8 +23,7 @@ asserts the cross-run observability contract end to end:
 All child exit codes are taken from subprocess.run (never shell pipelines,
 whose $? reports the last pipe stage).
 
-Usage: sweep_smoke.py <rp_sweep> <routplace> <render_report.py>
-                      <bench_trend.py> [--keep]
+Usage: sweep_smoke.py <rp_sweep> <routplace> <render_report.py> [--keep]
 Exit code 0 on success; prints every failed expectation otherwise.
 """
 
@@ -41,8 +37,7 @@ from pathlib import Path
 FAILURES = []
 
 # Documented-volatile metrics: wall time and memory move between two
-# invocations of the same campaign; quality medians must not.
-VOLATILE_TREND_FIELDS = {"runtime_median_sec"}
+# invocations of the same campaign; quality must not.
 VOLATILE_SUMMARY_METRICS = {"runtime_sec", "peak_rss_kb"}
 
 
@@ -71,15 +66,6 @@ def write_spec(path, extra_axes=None):
     return spec
 
 
-def scrubbed_trend(path):
-    rows = []
-    for line in path.read_text().splitlines():
-        row = json.loads(line)
-        rows.append({k: v for k, v in row.items()
-                     if k not in VOLATILE_TREND_FIELDS})
-    return rows
-
-
 def scrubbed_summary(path):
     doc = json.loads(path.read_text())
     for cell in doc.get("cells", []):
@@ -104,13 +90,13 @@ def validate_run_dirs(camp_dir, runs):
 
 
 def main():
-    if len(sys.argv) < 5:
+    if len(sys.argv) < 4:
         print(__doc__)
         return 2
     rp_sweep, routplace = Path(sys.argv[1]), Path(sys.argv[2])
-    render_report, bench_trend = Path(sys.argv[3]), Path(sys.argv[4])
-    keep = "--keep" in sys.argv[5:]
-    for p in (rp_sweep, routplace, render_report, bench_trend):
+    render_report = Path(sys.argv[3])
+    keep = "--keep" in sys.argv[4:]
+    for p in (rp_sweep, routplace, render_report):
         if not p.exists():
             print(f"sweep_smoke: '{p}' not found")
             return 2
@@ -164,50 +150,14 @@ def main():
             check(proc.returncode == 0,
                   f"render --campaign {d.name}: exit {proc.returncode}\n"
                   f"{proc.stderr[-2000:]}")
-            for name in ("campaign.html", "campaign_summary.json",
-                         "campaign_trend.jsonl"):
+            for name in ("campaign.html", "campaign_summary.json"):
                 check((d / name).exists(), f"{d.name}: {name} not written")
-        if (dir_a / "campaign_trend.jsonl").exists() and \
-           (dir_b / "campaign_trend.jsonl").exists():
-            check(scrubbed_trend(dir_a / "campaign_trend.jsonl")
-                  == scrubbed_trend(dir_b / "campaign_trend.jsonl"),
-                  "campaign_trend.jsonl quality medians differ between "
-                  "invocations")
         if (dir_a / "campaign_summary.json").exists() and \
            (dir_b / "campaign_summary.json").exists():
             check(scrubbed_summary(dir_a / "campaign_summary.json")
                   == scrubbed_summary(dir_b / "campaign_summary.json"),
                   "campaign_summary.json differs (beyond runtime/RSS) "
                   "between invocations")
-
-        # --- trend gate: campaign rows aggregate and self-compare clean;
-        # removing a whole family trips the presence gate.
-        trend_file = tmp / "trend.json"
-        proc = run([sys.executable, bench_trend, "aggregate",
-                    "--input", dir_a / "campaign_trend.jsonl",
-                    "--out", trend_file, "--date", "20000101"])
-        check(proc.returncode == 0,
-              f"bench_trend aggregate: exit {proc.returncode}\n{proc.stderr}")
-        proc = run([sys.executable, bench_trend, "compare",
-                    "--baseline", trend_file, "--current", trend_file])
-        check(proc.returncode == 0,
-              f"bench_trend self-compare: exit {proc.returncode}\n"
-              f"{proc.stdout}\n{proc.stderr}")
-        if trend_file.exists():
-            doc = json.loads(trend_file.read_text())
-            doc["metrics"] = {k: v for k, v in doc["metrics"].items()
-                              if not k.startswith("campaign.")}
-            doc["metrics"]["other.marker_sec"] = {
-                "value": 1.0, "kind": "time", "n": 1}
-            gutted = tmp / "trend_gutted.json"
-            gutted.write_text(json.dumps(doc))
-            proc = run([sys.executable, bench_trend, "compare",
-                        "--baseline", trend_file, "--current", gutted])
-            check(proc.returncode != 0,
-                  "bench_trend: dropping the 'campaign' family did not fail")
-            check("campaign" in proc.stderr,
-                  f"bench_trend: family failure message does not name the "
-                  f"family:\n{proc.stderr}")
 
         # --- failure leg: a grid with one deliberately broken cell.
         # An aux that names too few files is a ParseError at bad.aux:1 —

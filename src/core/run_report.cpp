@@ -94,8 +94,7 @@ void write_eval(JsonWriter& w, const EvalResult& e) {
 }  // namespace
 
 std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
-                            const FlowResult& r, int indent,
-                            const RunErrorInfo& err) {
+                            const FlowResult& r, const RunErrorInfo& err) {
   // All counter/gauge/profile/event reads go through the run's own context
   // (re-entrancy: reporting run A must not read whatever context happens to
   // be bound right now); binding it here makes the nested writers —
@@ -106,7 +105,7 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
   const obs::ObsContext& obs_ctx = *r.obs;
   const telemetry::Registry& reg = obs_ctx.registry();
 
-  JsonWriter w(indent);
+  JsonWriter w(2);
   w.begin_object();
   // v5 added an optional "resources" block that is no longer written; v4
   // added the "events" block and reads the parse block's repair counts from
@@ -285,7 +284,7 @@ bool write_run_report(const std::string& path, const RunReportMeta& meta,
     RP_ERROR("run report: cannot open '%s'", path.c_str());
     return false;
   }
-  const std::string doc = run_report_json(meta, opt, r, 2, err);
+  const std::string doc = run_report_json(meta, opt, r, err);
   const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
   std::fputc('\n', f);
   std::fclose(f);

@@ -6,9 +6,9 @@
 // evaluation bundle (HPWL, scaled HPWL, ACE/RC, overflow, legality), per-stage
 // stats (GP, macro legal, legal, DP), the full GP convergence trace, the
 // nested stage-time breakdown, a snapshot of every telemetry counter/gauge,
-// and the process peak RSS. Emitted by `routplace --report-json <file>`, by
-// the bench binaries (RP_BENCH_JSON=<file>, one JSON line per run), and
-// consumable by scripts/check_report.py and the BENCH_* trajectory tooling.
+// and the process peak RSS. Emitted by `routplace --report-json <file>`;
+// checked by scripts/check_report.py, diffed by rp_report_diff, and pinned
+// by the committed tests/golden/gen700_s13.report.json.
 //
 // Schema (stable keys; see DESIGN.md "Observability" for the full contract):
 //   schema_version, tool, build{git_describe, compiler, build_type, flags,
@@ -74,10 +74,9 @@ struct RunErrorInfo {
 RunReportMeta make_report_meta(const Design& d, const std::string& source,
                                const std::string& mode, std::uint64_t seed);
 
-/// Serialize the run report document (pretty-printed when indent > 0).
+/// Serialize the run report document (pretty-printed, indent 2).
 std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
-                            const FlowResult& r, int indent = 2,
-                            const RunErrorInfo& err = {});
+                            const FlowResult& r, const RunErrorInfo& err = {});
 
 /// Write run_report_json() to a file; returns false (and logs) on failure.
 bool write_run_report(const std::string& path, const RunReportMeta& meta,

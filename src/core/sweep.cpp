@@ -330,7 +330,6 @@ void write_run_entry(JsonWriter& w, const SweepRunResult& r) {
   w.key("artifacts").begin_object();
   w.kv("report", r.has_report);
   w.kv("progress", r.has_progress);
-  w.kv("bench", r.has_bench);
   w.kv("flight", r.has_flight);
   w.end_object();
   if (r.has_error) {
@@ -427,7 +426,6 @@ namespace {
 void finalize_result(SweepRunResult& res, const fs::path& run_dir) {
   res.has_report = fs::exists(run_dir / "report.json");
   res.has_progress = fs::exists(run_dir / "progress.ndjson");
-  res.has_bench = fs::exists(run_dir / "bench.jsonl");
   res.has_flight = fs::exists(run_dir / "flight.json");
   if (!res.has_report) return;
   bool ok = false;
@@ -463,26 +461,24 @@ pid_t spawn_run(const std::string& routplace, const SweepRun& run,
   add("--report-json", run_dir / "report.json");
   add("--progress-ndjson", run_dir / "progress.ndjson");
   add("--flight-json", run_dir / "flight.json");
-  const std::string bench = (run_dir / "bench.jsonl").string();
   const std::string out_log = (run_dir / "stdout.log").string();
   const std::string err_log = (run_dir / "stderr.log").string();
 
   const pid_t pid = ::fork();
   if (pid != 0) return pid;  // parent (or fork failure, pid < 0)
 
-  // Child: redirect stdio into the run directory, point RP_BENCH_JSON
-  // there, exec. Only async-signal-safe-ish calls between fork and exec.
-  // A failed redirect is fatal (kSpawnRedirectFailed, distinct from 127 =
-  // exec failed): silently inheriting the parent's stdio would interleave
-  // this child's output with the orchestrator's own. The originals are
-  // closed after dup2 so no stray descriptors leak into the exec'd image.
+  // Child: redirect stdio into the run directory, exec. Only
+  // async-signal-safe-ish calls between fork and exec. A failed redirect is
+  // fatal (kSpawnRedirectFailed, distinct from 127 = exec failed): silently
+  // inheriting the parent's stdio would interleave this child's output with
+  // the orchestrator's own. The originals are closed after dup2 so no stray
+  // descriptors leak into the exec'd image.
   const int ofd = ::open(out_log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (ofd < 0 || ::dup2(ofd, 1) < 0) ::_exit(kSpawnRedirectFailed);
   ::close(ofd);
   const int efd = ::open(err_log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (efd < 0 || ::dup2(efd, 2) < 0) ::_exit(kSpawnRedirectFailed);
   ::close(efd);
-  ::setenv("RP_BENCH_JSON", bench.c_str(), 1);
   std::vector<char*> argv;
   argv.reserve(argv_s.size() + 1);
   for (std::string& s : argv_s) argv.push_back(s.data());

@@ -26,8 +26,8 @@
 //
 //   <campaign>/campaign.json              manifest (schema "rp_campaign" v1)
 //   <campaign>/runs/<cell>__s<seed>/      one directory per run:
-//       out.pl report.json progress.ndjson bench.jsonl (RP_BENCH_JSON)
-//       flight.json (error exits) stdout.log stderr.log status.json
+//       out.pl report.json progress.ndjson flight.json (error exits)
+//       stdout.log stderr.log status.json
 //
 // FAILED RUNS ARE RECORDED, NEVER DROPPED: the manifest entry carries the
 // child's exit code mapped through the documented exit-code contract
@@ -92,7 +92,6 @@ struct SweepRunResult {
   std::string status;  ///< sweep_status_name(exit_code).
   bool has_report = false;
   bool has_progress = false;
-  bool has_bench = false;
   bool has_flight = false;
   bool has_error = false;  ///< Report carried an "error" block:
   std::string error_code, error_message, error_where, error_stage;

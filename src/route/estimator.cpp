@@ -69,20 +69,6 @@ std::vector<std::pair<int, int>> net_topology(const std::vector<Point>& pts) {
   return net_topology(pts.data(), static_cast<int>(pts.size()), s);
 }
 
-Grid2D<double> rudy_map(const Design& d, const GridMap& grid) {
-  Grid2D<double> g(grid.nx(), grid.ny(), 0.0);
-  for (NetId n = 0; n < d.num_nets(); ++n) {
-    if (d.net(n).degree() < 2) continue;
-    Rect bb = d.net_bbox(n);
-    // Degenerate (collinear) boxes still consume wiring width ~ one tile.
-    bb.hx = std::max(bb.hx, bb.lx + grid.bin_w());
-    bb.hy = std::max(bb.hy, bb.ly + grid.bin_h());
-    const double demand = (bb.width() + bb.height()) / bb.area();
-    grid.rasterize(bb, [&](int ix, int iy, double a) { g(ix, iy) += demand * a; });
-  }
-  return g;
-}
-
 namespace {
 
 constexpr std::size_t kNetGrain = 128;  ///< Nets per chunk (min).

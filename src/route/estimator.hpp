@@ -1,15 +1,11 @@
 #pragma once
 // Fast congestion estimation (no search), used inside the placement loop.
 //
-// Two estimators, in increasing fidelity:
-//  * RUDY (Rectangular Uniform wire DensitY): each net smears a demand of
-//    hpwl/bbox_area over its bounding box. Grid-resolution independent and
-//    extremely fast; good for coarse spreading decisions.
-//  * Probabilistic L-route: each net is decomposed into 2-pin segments along
-//    its rectilinear minimum spanning tree; each segment charges the two
-//    one-bend (L) routes with probability 0.5 each. Produces per-EDGE track
-//    demand directly comparable with RoutingGrid capacities; this is what
-//    the routability-driven placer inflates cells against.
+// Probabilistic L-route: each net is decomposed into 2-pin segments along
+// its rectilinear minimum spanning tree; each segment charges the two
+// one-bend (L) routes with probability 0.5 each. Produces per-EDGE track
+// demand directly comparable with RoutingGrid capacities; this is what the
+// routability-driven placer inflates cells against.
 //
 // The probabilistic estimator runs parallel over net chunks on the CSR
 // netlist flattening (model/netlist_csr.hpp): each chunk deposits into its
@@ -43,9 +39,6 @@ const std::vector<std::pair<int, int>>& net_topology(const Point* pts, int k,
 
 /// Allocating convenience wrapper (tests / router).
 std::vector<std::pair<int, int>> net_topology(const std::vector<Point>& pts);
-
-/// RUDY wiring-demand map on an arbitrary grid (units: demand density).
-Grid2D<double> rudy_map(const Design& d, const GridMap& grid);
 
 /// Probabilistic L-route demand: clears `grid` usage and deposits each net's
 /// expected track usage on the grid's h/v edges.

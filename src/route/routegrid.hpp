@@ -25,7 +25,7 @@ class RoutingGrid {
   /// also derate capacity (used when evaluating a finished placement).
   explicit RoutingGrid(const Design& d, bool include_movable_macros = true);
 
-  /// Build a bare grid (tests / microbenches).
+  /// Build a bare grid (tests).
   RoutingGrid(Rect die, int nx, int ny, double h_cap, double v_cap);
 
   int nx() const { return map_.nx(); }

@@ -1,6 +1,7 @@
 #include "util/event_bus.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -225,8 +226,14 @@ bool EventBus::open_stream(const std::string& target) {
     return true;
   }
   if (target.rfind("fd:", 0) == 0) {
-    const int fd = std::atoi(target.c_str() + 3);
-    if (fd < 0) return false;
+    // Only decimal digits that fit in an int: "fd:", "fd:abc", "fd:3x" and
+    // "fd:-1" are rejected, never read as some other descriptor (stdin).
+    const char* first = target.data() + 3;
+    const char* last = target.data() + target.size();
+    int fd = -1;
+    if (first == last || *first < '0' || *first > '9') return false;
+    const auto [end, ec] = std::from_chars(first, last, fd);
+    if (ec != std::errc() || end != last) return false;
     stream_fd_ = fd;
     close_stream_fd_ = false;
     return true;

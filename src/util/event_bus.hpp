@@ -106,8 +106,9 @@ class EventBus {
 
   // ------------------------------------------------------------- NDJSON sink
   /// Open the live progress stream. `target` is a path, "-" for stdout, or
-  /// "fd:N" for an inherited descriptor. Returns false (stream stays closed)
-  /// when the target cannot be opened.
+  /// "fd:N" (N decimal digits only) for an inherited descriptor. Returns
+  /// false (stream stays closed) when the target cannot be opened or an
+  /// "fd:" target is malformed.
   bool open_stream(const std::string& target);
   void close_stream();
   bool streaming() const { return stream_fd_ >= 0; }

@@ -216,30 +216,4 @@ void write_report_block(JsonWriter& w) {
   w.end_object();
 }
 
-std::string region_jsonl_rows(const std::string& bench, const std::string& flow) {
-  if (!enabled()) return {};
-  std::string out;
-  for (const auto& [name, r] : Profiler::instance().regions()) {
-    const LatencyHistogram& h = r->hist;
-    if (h.samples == 0) continue;
-    JsonWriter w;
-    w.begin_object();
-    w.kv("schema", "profile_region");
-    w.kv("bench", bench);
-    w.kv("flow", flow);
-    w.kv("region", name);
-    w.kv("samples", static_cast<std::int64_t>(h.samples));
-    w.kv("total_ms", h.total_ms());
-    w.kv("mean_us", h.mean_us());
-    w.kv("p50_us", h.quantile_us(0.50));
-    w.kv("p95_us", h.quantile_us(0.95));
-    w.kv("p99_us", h.quantile_us(0.99));
-    w.kv("max_us", h.max_us());
-    w.end_object();
-    out += w.str();
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace rp::profiler

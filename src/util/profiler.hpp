@@ -126,7 +126,7 @@ bool enabled();
 void set_enabled(bool on);
 
 /// True when the RP_PROFILE environment variable requests profiling
-/// (set and not "0"); used by the CLI and the bench binaries.
+/// (set and not "0"); used by the CLI.
 bool env_requested();
 
 /// Zero the current context's region histograms AND the pool's cumulative
@@ -141,10 +141,6 @@ std::uint64_t now_ns();
 /// object with per-region histograms and the thread-pool section. Call only
 /// when enabled() — the block is absent from unprofiled reports.
 void write_report_block(JsonWriter& w);
-
-/// One JSONL row per region ({"schema":"profile_region",...}), for
-/// RP_BENCH_JSON trend tracking. Empty string when profiling is off.
-std::string region_jsonl_rows(const std::string& bench, const std::string& flow);
 
 /// RAII sampler for RP_PROFILE_REGION: latches enabled() at entry.
 class ScopedRegion {

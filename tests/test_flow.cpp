@@ -152,7 +152,7 @@ TEST_F(FlowTest, RunReportMatchesEvaluation) {
 
   const RunReportMeta meta = make_report_meta(d, "generated", "routability", 70);
   const JsonValue doc =
-      json_parse(run_report_json(meta, flow.options(), r, /*indent=*/2));
+      json_parse(run_report_json(meta, flow.options(), r));
 
   // The report's metrics are the same numbers evaluate_placement produced.
   EXPECT_DOUBLE_EQ(doc.at("eval").at("hpwl").num, r.eval.hpwl);

@@ -264,15 +264,5 @@ TEST(TraceEvents, PoolChunksCarryWorkerTids) {
   EXPECT_NE(json.find("worker-1"), std::string::npos);
 }
 
-TEST(ReportBlock, RegionRowsOnlyWhenEnabled) {
-  profiler::reset_all();
-  EXPECT_EQ(profiler::region_jsonl_rows("b", "f"), "");
-  ProfileScope on;
-  Profiler::instance().record("test/rows", 5000);
-  const std::string rows = profiler::region_jsonl_rows("b", "f");
-  EXPECT_NE(rows.find("\"schema\":\"profile_region\""), std::string::npos);
-  EXPECT_NE(rows.find("\"region\":\"test/rows\""), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rp

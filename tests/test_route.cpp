@@ -194,20 +194,6 @@ TEST_F(RouteTest, ProbabilisticLShapeSplitsDemand) {
   EXPECT_NEAR(total, 18.0, 1e-9);
 }
 
-TEST_F(RouteTest, RudyConcentratesOnNetBoxes) {
-  const Design d = two_cell_net(5, 45, 55);
-  GridMap map(d.die(), 10, 10);
-  const Grid2D<double> r = rudy_map(d, map);
-  // The degenerate (flat) net box is widened by one bin height, so demand
-  // may land in rows 5 and 6.
-  double inside = 0, outside = 0;
-  for (int iy = 0; iy < 10; ++iy)
-    for (int ix = 0; ix < 10; ++ix)
-      (((iy == 5 || iy == 6) && ix <= 4) ? inside : outside) += r(ix, iy);
-  EXPECT_GT(inside, 0.0);
-  EXPECT_NEAR(outside, 0.0, 1e-9);
-}
-
 // ---------------- router ----------------
 
 TEST_F(RouteTest, RouterRoutesStraightNet) {
