@@ -1,18 +1,15 @@
 #!/usr/bin/env python3
 """Telemetry contract check for the routplace binary.
 
-Runs `routplace --gen ... --profile --report-json ... --trace-json ...
+Runs `routplace --gen ... --report-json ... --trace-json ...
 --snapshot-dir` on a small generated design and validates:
   * the run report against the schema documented in DESIGN.md
     ("Observability"), including cross-checks between the report and the
     summary the binary printed; any NaN/Inf anywhere in the report is an
     error (the C++ JSON writer must emit null for non-finite values, and no
     metric is allowed to be null);
-  * the "profile" block (schema v2): enough regions, per-region histogram
-    bucket monotonicity, quantile ordering p50<=p95<=p99<=max, and per-worker
-    busy+wait summing to the pool's region wall time;
-  * the absence of the "resources" block (an old v5 sampled timeline that
-    is no longer written);
+  * the absence of the "profile" and "resources" blocks (an old v2
+    profiler block and an old v5 sampled timeline, no longer written);
   * the trace file as a loadable Chrome trace-event document with spans for
     every flow stage, each multilevel level, and each routability round, plus
     per-worker pool/chunk spans on named worker lanes;
@@ -218,91 +215,14 @@ def validate_trace(trace, gp_levels, rounds, threads):
                   f"trace: lane {t} named '{thread_names.get(t)}'")
 
 
-def validate_histogram(h, where):
-    expect_keys(h, ["samples", "total_ms", "mean_us", "min_us", "p50_us",
-                    "p95_us", "p99_us", "max_us", "buckets"], where)
-    if FAILURES:
-        return
-    check(h["samples"] > 0, f"{where}: no samples")
-    check(h["min_us"] <= h["mean_us"] <= h["max_us"] + 1e-9,
-          f"{where}: mean outside [min, max]")
-    check(h["min_us"] - 1e-9 <= h["p50_us"] <= h["p95_us"] + 1e-9,
-          f"{where}: p50 > p95")
-    check(h["p95_us"] <= h["p99_us"] + 1e-9, f"{where}: p95 > p99")
-    check(h["p99_us"] <= h["max_us"] + 1e-9, f"{where}: p99 > max")
-    buckets = h["buckets"]
-    check(len(buckets) > 0, f"{where}: histogram has no buckets")
-    total = 0
-    prev_hi = -1.0
-    for i, b in enumerate(buckets):
-        expect_keys(b, ["lo_us", "hi_us", "count"], f"{where}.buckets[{i}]")
-        if FAILURES:
-            return
-        check(b["lo_us"] < b["hi_us"], f"{where}.buckets[{i}]: lo >= hi")
-        check(b["lo_us"] >= prev_hi - 1e-12,
-              f"{where}.buckets[{i}]: overlaps previous bucket")
-        check(b["count"] > 0, f"{where}.buckets[{i}]: empty bucket emitted")
-        prev_hi = b["hi_us"]
-        total += b["count"]
-    check(total == h["samples"],
-          f"{where}: bucket counts sum {total} != samples {h['samples']}")
-
-
-def validate_profile(report, threads):
-    if not check("profile" in report,
-                 "report: no 'profile' block despite --profile"):
-        return
-    prof = report["profile"]
-    expect_keys(prof, ["enabled", "regions", "pool"], "report.profile")
-    if FAILURES:
-        return
-    check(prof["enabled"] is True, "report.profile.enabled is not true")
-
-    regions = prof["regions"]
-    check(len(regions) >= 6,
-          f"report.profile: only {len(regions)} regions (expected >= 6)")
-    for name in ("flow", "kernel/wirelength", "kernel/density", "kernel/cg",
-                 "kernel/objective", "route/estimate"):
-        check(name in regions, f"report.profile.regions missing '{name}'")
-    for name, h in regions.items():
-        validate_histogram(h, f"report.profile.regions[{name}]")
-
-    pool = prof["pool"]
-    expect_keys(pool, ["threads", "regions", "wall_ms", "busy_ms",
-                       "efficiency_mean", "efficiency_min", "imbalance_max",
-                       "workers", "chunk"], "report.profile.pool")
-    if FAILURES:
-        return
-    check(pool["threads"] == threads,
-          f"report.profile.pool.threads {pool['threads']} != --threads {threads}")
-    check(pool["regions"] > 0, "report.profile.pool.regions not positive")
-    check(len(pool["workers"]) == threads,
-          "report.profile.pool.workers length != threads")
-    check(0.0 < pool["efficiency_mean"] <= 1.0 + 1e-9,
-          "report.profile.pool.efficiency_mean outside (0, 1]")
-    check(pool["imbalance_max"] >= 1.0 - 1e-9,
-          "report.profile.pool.imbalance_max < 1")
-    # wait := region_wall - busy by construction, so busy+wait sums to the
-    # total region wall time exactly, for every worker.
-    for wkr in pool["workers"]:
-        expect_keys(wkr, ["worker", "busy_ms", "wait_ms", "chunks"],
-                    "report.profile.pool.workers[i]")
-        if FAILURES:
-            return
-        total = wkr["busy_ms"] + wkr["wait_ms"]
-        check(abs(total - pool["wall_ms"]) <= 1e-6 * pool["wall_ms"] + 1e-3,
-              f"worker {wkr['worker']}: busy+wait {total:.3f} ms != "
-              f"pool wall {pool['wall_ms']:.3f} ms")
-        check(wkr["chunks"] >= 0, f"worker {wkr['worker']}: negative chunks")
-    validate_histogram(pool["chunk"], "report.profile.pool.chunk")
-
-
-def validate_resources(report):
-    """The "resources" block (an old v5 sampled RSS/CPU timeline) is no
-    longer written; the top-level peak_rss_kb is the process high-water
+def validate_retired_blocks(report):
+    """Blocks older reports carry and current ones do not: "profile" (the
+    in-process profiler's region histograms and pool section) and
+    "resources" (a v5 sampled RSS/CPU timeline). Stage time lives in
+    stage_times, and the top-level peak_rss_kb is the process high-water
     mark."""
-    check("resources" not in report,
-          "report: 'resources' block present (no longer written)")
+    for key in ("profile", "resources"):
+        check(key not in report, f"report: '{key}' block present (no longer written)")
 
 
 def validate_parse_block(report, expect_mode):
@@ -474,14 +394,14 @@ def main():
         return 2
 
     rounds = 2
-    threads = 2  # >= 2 so worker lanes and busy/wait accounting are exercised
+    threads = 2  # >= 2 so worker lanes are exercised
     with tempfile.TemporaryDirectory(prefix="rp_check_report_") as tmp:
         tmp = Path(tmp)
         report_path = tmp / "run.report.json"
         trace_path = tmp / "run.trace.json"
         snap_dir = tmp / "snapshots"
         cmd = [str(binary), "--gen", "600", "--seed", "7", "--rounds",
-               str(rounds), "--threads", str(threads), "--profile",
+               str(rounds), "--threads", str(threads),
                "--out", str(tmp / "out.pl"),
                "--report-json", str(report_path),
                "--trace-json", str(trace_path),
@@ -503,8 +423,7 @@ def main():
             return 1
 
         validate_report(report, proc.stdout)
-        validate_profile(report, threads)
-        validate_resources(report)
+        validate_retired_blocks(report)
         # Inflation may converge early; only require the rounds that ran.
         ran_rounds = min(rounds, report.get("gp", {}).get("inflation_rounds", 0))
         validate_trace(trace, report.get("gp", {}).get("levels", 0), ran_rounds,

@@ -6,13 +6,15 @@ matrix the determinism contract covers, and demands that everything
 observable is IDENTICAL between every pair:
 
   run_1: --threads 1,     RP_SIMD=off,  --incremental-eval off
-  run_n: --threads <max>, RP_SIMD=auto, --incremental-eval on, --profile
+  run_n: --threads <max>, RP_SIMD=auto, --incremental-eval on,
+         --trace-json (per-chunk pool timing on)
   run_s: --threads 1,     RP_SIMD=auto, --incremental-eval on,
          RP_CHECK_INCREMENTAL=1 (every cached/trialed cost self-verifies
          against a from-scratch recompute and aborts on a bit mismatch)
 
-run_1 vs run_n proves thread- AND vector- AND incremental- AND profiler-
-invariance in one comparison; run_1 vs run_s isolates the SIMD/incremental
+run_1 vs run_n proves thread- AND vector- AND incremental- AND tracing-
+invariance in one comparison (run_n's trace must hold pool/chunk spans on
+a worker lane, so the timed chunk path really ran); run_1 vs run_s isolates the SIMD/incremental
 axes at a fixed thread count with the cross-checker armed. Identical means:
 
 1. the .pl placement files are byte-identical;
@@ -23,7 +25,7 @@ axes at a fixed thread count with the cross-checker armed. Identical means:
    the only sections allowed to differ);
 4. a strict Python comparison of the reports after dropping only the
    documented volatile keys (timings, RSS, build stamp, output paths,
-   parallel + simd + profile blocks) — so a new thread- or dispatch-
+   parallel + simd blocks) — so a new thread- or dispatch-
    dependent field can't hide behind a loose tolerance;
 5. the --progress-ndjson event streams match line for line once the two
    documented volatile fields per line ("seq", "t_ms") are dropped —
@@ -61,9 +63,9 @@ GOLDEN_REPORT = (Path(__file__).resolve().parent.parent
                  / "tests" / "golden" / "gen700_s13.report.json")
 
 # Keys that legitimately differ between two identical runs (mirrors
-# report_diff_default_ignores() in src/core/report_diff.cpp). "profile" is
-# here because only run_n is profiled — the block's presence itself must be
-# ignorable; "simd" carries the requested/active dispatch level and the
+# report_diff_default_ignores() in src/core/report_diff.cpp). "profile" and
+# "resources" are blocks older reports carry and current ones do not; "simd"
+# carries the requested/active dispatch level and the
 # incremental-eval switch, which differ across the matrix by construction.
 VOLATILE_KEYS = {"stage_times", "stage_total_sec", "peak_rss_kb", "build",
                  "snapshot_dir", "parallel", "simd", "profile", "resources"}
@@ -98,7 +100,7 @@ def ndjson_payloads(path):
     return lines
 
 
-def run_flow(routplace, outdir, threads, profile=False, env=None,
+def run_flow(routplace, outdir, threads, trace_json=None, env=None,
              extra_args=()):
     outdir.mkdir()
     report = outdir / "run.report.json"
@@ -108,8 +110,8 @@ def run_flow(routplace, outdir, threads, profile=False, env=None,
            "--report-json", str(report), "--snapshot-dir", str(snap),
            "--progress-ndjson", str(outdir / "progress.ndjson")]
     cmd += list(extra_args)
-    if profile:
-        cmd.append("--profile")
+    if trace_json is not None:  # outside outdir: compare_trees skips it
+        cmd += ["--trace-json", str(trace_json)]
     run_env = dict(os.environ)
     run_env.update(env or {})
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=280,
@@ -200,8 +202,9 @@ def main():
         run_1 = run_flow(routplace, tmp / "t1", 1,
                          env={"RP_SIMD": "off"},
                          extra_args=["--incremental-eval", "off"])
-        run_n = run_flow(routplace, tmp / "tN", max_threads, profile=True,
-                         env={"RP_SIMD": "auto"},
+        trace_n = tmp / "tN.trace.json"
+        run_n = run_flow(routplace, tmp / "tN", max_threads,
+                         trace_json=trace_n, env={"RP_SIMD": "auto"},
                          extra_args=["--incremental-eval", "on"])
         run_s = run_flow(routplace, tmp / "t1simd", 1,
                          env={"RP_SIMD": "auto", "RP_CHECK_INCREMENTAL": "1"},
@@ -232,8 +235,12 @@ def main():
         check(rep_n["parallel"]["threads"] == max_threads,
               f"report says threads={rep_n['parallel']['threads']}, "
               f"expected {max_threads}")
-        check("profile" in rep_n, "tN run has no 'profile' block")
-        check("profile" not in rep_1, "t1 run unexpectedly has a 'profile' block")
+        chunk_tids = {e.get("tid") for e in
+                      json.loads(trace_n.read_text()).get("traceEvents", [])
+                      if e.get("ph") == "X" and e.get("name") == "pool/chunk"}
+        check(any(t >= 1 for t in chunk_tids),
+              f"tN trace has no pool/chunk span on a worker lane "
+              f"(lanes {sorted(chunk_tids)})")
         check(rep_1["simd"]["requested"] == "off"
               and rep_1["simd"]["active"] == "scalar",
               f"t1 run did not run scalar kernels: {rep_1['simd']}")

@@ -1,9 +1,7 @@
 #!/usr/bin/env python3
 """Render a routplace run report (+ optional snapshot dir) as a single
 self-contained HTML dashboard: headline metrics, the stage-time tree,
-convergence curves, a heatmap gallery, and — for --profile runs — a
-Profile page with per-region latency histograms and per-worker busy/wait
-utilization bars.
+convergence curves and a heatmap gallery.
 
 Stdlib only — heatmaps are decoded from the binary .grid files and embedded
 as data-URI PNGs written by a minimal zlib-based encoder, convergence curves
@@ -154,86 +152,6 @@ def metric_cards(report):
                    f'<div class="cardval">{html.escape(value)}</div>'
                    f'<div class="cardlab">{html.escape(label)}</div></div>')
     return "\n".join(out)
-
-
-def fmt_us(us):
-    """Human-scale latency: ns under 1 us, ms above 1000 us."""
-    if us < 1.0:
-        return f"{us * 1000:.0f}ns"
-    if us < 1000.0:
-        return f"{us:.1f}us"
-    return f"{us / 1000:.2f}ms"
-
-
-def histogram_rows_html(hist):
-    """Bucket table for one latency histogram (sparse buckets as emitted)."""
-    buckets = hist.get("buckets", [])
-    if not buckets:
-        return ""
-    peak = max(b["count"] for b in buckets)
-    rows = ['<table class="kv hist"><tr><td>bucket</td><td>count</td><td></td></tr>']
-    for b in buckets:
-        width = 100.0 * b["count"] / peak if peak else 0.0
-        rows.append(
-            f'<tr><td>{fmt_us(b["lo_us"])} – {fmt_us(b["hi_us"])}</td>'
-            f'<td>{b["count"]}</td>'
-            f'<td class="histcell"><span class="bar" '
-            f'style="width:{max(1.0, width):.1f}px"></span></td></tr>')
-    rows.append("</table>")
-    return "\n".join(rows)
-
-
-def profile_html(profile):
-    """The 'Profile' page: per-worker utilization bars + region histograms."""
-    parts = []
-    pool = profile.get("pool", {})
-    workers = pool.get("workers", [])
-    if workers:
-        parts.append(
-            f'<div class="meta">{pool.get("threads", len(workers))} threads · '
-            f'{pool.get("regions", 0)} pool regions · '
-            f'efficiency {pool.get("efficiency_mean", 0):.2f} mean / '
-            f'{pool.get("efficiency_min", 0):.2f} min · '
-            f'imbalance max {pool.get("imbalance_max", 0):.2f}</div>')
-        parts.append("<h3>Worker utilization (busy vs wait)</h3>")
-        span = max((w["busy_ms"] + w["wait_ms"] for w in workers), default=0.0)
-        for i, w in enumerate(workers):
-            busy, wait = w.get("busy_ms", 0.0), w.get("wait_ms", 0.0)
-            bw = 320.0 * busy / span if span > 0 else 0.0
-            ww = 320.0 * wait / span if span > 0 else 0.0
-            label = "main (worker-0)" if i == 0 else f"worker-{i}"
-            parts.append(
-                f'<div class="stage"><span class="stagename">{label}</span>'
-                f'<span class="bar busy" style="width:{bw:.1f}px"></span>'
-                f'<span class="bar wait" style="width:{ww:.1f}px"></span>'
-                f'<span class="stagesec">busy {busy:.1f}ms · wait {wait:.1f}ms · '
-                f'{w.get("chunks", 0)} chunks</span></div>')
-        chunk = pool.get("chunk", {})
-        if chunk.get("samples"):
-            parts.append(
-                f'<details><summary>Pool chunk latency '
-                f'({chunk["samples"]} chunks, p50 {fmt_us(chunk.get("p50_us", 0))}, '
-                f'p99 {fmt_us(chunk.get("p99_us", 0))})</summary>'
-                + histogram_rows_html(chunk) + "</details>")
-
-    regions = profile.get("regions", {})
-    if regions:
-        parts.append("<h3>Region latency histograms</h3>")
-        parts.append('<table class="kv"><tr><td>region</td><td>samples</td>'
-                     "<td>total</td><td>mean</td><td>p50</td><td>p95</td>"
-                     "<td>p99</td><td>max</td></tr>")
-        for name, h in regions.items():
-            parts.append(
-                f"<tr><td>{html.escape(name)}</td><td>{h['samples']}</td>"
-                f"<td>{h['total_ms']:.1f}ms</td><td>{fmt_us(h['mean_us'])}</td>"
-                f"<td>{fmt_us(h['p50_us'])}</td><td>{fmt_us(h['p95_us'])}</td>"
-                f"<td>{fmt_us(h['p99_us'])}</td><td>{fmt_us(h['max_us'])}</td></tr>")
-        parts.append("</table>")
-        for name, h in regions.items():
-            if h.get("buckets"):
-                parts.append(f"<details><summary>{html.escape(name)}</summary>"
-                             + histogram_rows_html(h) + "</details>")
-    return "\n".join(parts)
 
 
 STAGE_COLORS = ["#4a90d9", "#2e7d32", "#c62828", "#8e6bbf", "#d98b2b", "#2b9fa8"]
@@ -643,12 +561,8 @@ h3 { font-size: 1em; margin: 1em 0 0.3em; }
 .stagename { min-width: 110px; }
 .bar { display: inline-block; height: 9px; background: #4a90d9;
        border-radius: 3px; }
-.bar.busy { background: #2e7d32; border-radius: 3px 0 0 3px; }
-.bar.wait { background: #d8dee6; border-radius: 0 3px 3px 0; }
 .gantt { display: inline-block; width: 420px; background: #eef1f5;
          border: 1px solid #d8dee6; border-radius: 3px; }
-table.hist td { border: none; padding: 1px 8px; }
-.histcell { min-width: 110px; }
 .stagesec { color: #5a6572; }
 .chart { margin-right: 12px; } .chartbg { fill: #fff; stroke: #d8dee6; }
 .lab { font-size: 10px; fill: #5a6572; }
@@ -754,10 +668,6 @@ def main():
     if st:
         parts.append("<h2>Stage times</h2>")
         parts.append(stage_tree_html(st, report.get("stage_total_sec", 0)))
-
-    if report.get("profile"):
-        parts.append("<h2>Profile</h2>")
-        parts.append(profile_html(report["profile"]))
 
     if snap_dir is not None:
         parts.append("<h2>Heatmaps</h2>")

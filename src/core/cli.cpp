@@ -12,7 +12,6 @@
 #include "util/logger.hpp"
 #include "util/obs_context.hpp"
 #include "util/parallel.hpp"
-#include "util/profiler.hpp"
 #include "util/simd.hpp"
 #include "util/str.hpp"
 #include "util/telemetry.hpp"
@@ -70,10 +69,6 @@ std::string cli_usage() {
       "                          deterministic across hosts or thread counts;\n"
       "                          0 = off)\n"
       "  --skip-dp               skip detailed placement\n"
-      "  --profile               in-process profiler: per-region latency\n"
-      "                          histograms + thread-pool busy/wait accounting;\n"
-      "                          adds a \"profile\" block to --report-json\n"
-      "                          (never changes results; also via RP_PROFILE=1)\n"
       "\n"
       "output:\n"
       "  --out <file.pl>         placement output (default <design>.rp.pl)\n"
@@ -99,7 +94,6 @@ std::string cli_usage() {
       "\n"
       "environment:\n"
       "  RP_LOG_LEVEL            debug|info|warn|error|silent — overrides --verbose\n"
-      "  RP_PROFILE              1 = enable the profiler (same as --profile)\n"
       "  RP_SIMD                 auto|off|avx2|neon (--simd wins when both set)\n"
       "  RP_CHECK_INCREMENTAL    1 = cross-check every incremental DP delta\n"
       "                          against a full re-evaluation (debug; slow)\n"
@@ -161,7 +155,6 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
       cfg.max_gp_iters = int_value(i++, a);
     else if (a == "--max-seconds") cfg.max_seconds = real_value(i++, a);
     else if (a == "--skip-dp") cfg.skip_dp = true;
-    else if (a == "--profile") cfg.profile = true;
     else if (a == "--report-json") cfg.report_json = need_value(i++, a);
     else if (a == "--trace-json") cfg.trace_json = need_value(i++, a);
     else if (a == "--progress-ndjson") cfg.progress_ndjson = need_value(i++, a);
@@ -245,16 +238,14 @@ int run_cli(const CliConfig& cfg) {
   RP_DEBUG("simd kernels: %s (requested '%s')", simd::level_name(simd::active_level()),
            simd::requested().c_str());
 
-  if (cfg.profile || profiler::env_requested()) profiler::set_enabled(true);
-
   const std::string source = cfg.aux.empty() ? "generated" : "bookshelf";
   const std::string parse_mode = cfg.lenient ? "lenient" : "strict";
   FlowOptions fopt = cli_flow_options(cfg);
   ParseRepairs repairs;
   bool trace_active = false;
 
-  // Per-run observability context: counters, trace buffer, profiler regions
-  // and the event bus all live here, bound to this thread for the whole
+  // Per-run observability context: counters, trace buffer and the event
+  // bus all live here, bound to this thread for the whole
   // parse → flow → report span. Parse-time state (repair counters, the
   // ParseRepair event) accumulates in the SAME context the flow uses, so it
   // lands in the report without any side channel — and a second run_cli in
@@ -380,7 +371,6 @@ int run_cli(const CliConfig& cfg) {
               r.eval.congestion.total_overflow, r.eval.congestion.overflowed_edges,
               r.eval.congestion.peak_utilization);
   std::printf("  legal        %s\n", r.eval.legality.ok() ? "yes" : "NO");
-  std::printf("  runtime      %s\n", r.times.report_flat().c_str());
   std::printf("  solution     %s\n", out.c_str());
   if (!r.snapshot_dir.empty())
     std::printf("  snapshots    %s\n", r.snapshot_dir.c_str());

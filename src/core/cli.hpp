@@ -33,7 +33,6 @@ struct CliConfig {
   int max_gp_iters = 0;      ///< >0: cap total GP outer iterations (watchdog).
   double max_seconds = 0.0;  ///< >0: GP wall-clock budget in seconds (watchdog).
   bool skip_dp = false;
-  bool profile = false;      ///< In-process profiler (also via RP_PROFILE env).
   bool verbose = false;
   bool show_map = false;     ///< Print the ASCII congestion map at the end.
   bool help = false;

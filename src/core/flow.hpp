@@ -40,10 +40,10 @@ struct FlowOptions {
   bool skip_eval = false;
   SnapshotOptions snapshot;  ///< snapshot.dir empty: spatial capture off.
 
-  /// Observability context for this run (counters, trace, profiler regions,
-  /// events). The run binds it for its duration and never resets it, so
-  /// state the caller accumulated before the flow (parse-repair counters,
-  /// events) lands in the run report. Null: the run makes a fresh context
+  /// Observability context for this run (counters, trace, events). The
+  /// run binds it for its duration and never resets it, so state the
+  /// caller accumulated before the flow (parse-repair counters, events)
+  /// lands in the run report. Null: the run makes a fresh context
   /// of its own. Either way FlowResult::obs returns it, and concurrent runs
   /// on separate contexts share no observability state.
   std::shared_ptr<obs::ObsContext> obs;

@@ -34,7 +34,7 @@ std::string render(const JsonValue& v) {
     case JsonValue::Kind::String: return "\"" + v.str + "\"";
     case JsonValue::Kind::Number: {
       char buf[48];
-      std::snprintf(buf, sizeof buf, "%.10g", v.num);
+      std::snprintf(buf, sizeof buf, "%.17g", v.num);
       return buf;
     }
     case JsonValue::Kind::Array:
@@ -132,10 +132,10 @@ const std::vector<std::string>& report_diff_default_ignores() {
   // thread-pool provenance block (thread count / pool statistics), the
   // simd/incremental dispatch provenance block (results are identical at
   // every vector level and with incremental eval on or off — only the
-  // provenance strings differ), the profiler block ("profile" is dotless so
-  // the key's very presence — one run profiled, the other not — is ignored
-  // too, not just its leaves), and the sampled resource timeline that older
-  // v5 reports carry ("resources", dotless for the same reason).
+  // provenance strings differ), and two blocks that older reports carry
+  // and current ones do not: the profiler block ("profile") and the sampled
+  // resource timeline ("resources"). Both are dotless, so the key's very
+  // presence in one report only is ignored too, not just its leaves.
   static const std::vector<std::string> kIgnores = {
       "stage_times", "stage_total_sec", "peak_rss_kb", "build.", "snapshot_dir",
       "parallel.", "simd.", "profile", "resources",

@@ -8,7 +8,6 @@
 #include "util/obs_context.hpp"
 #include "util/logger.hpp"
 #include "util/parallel.hpp"
-#include "util/profiler.hpp"
 #include "util/simd.hpp"
 #include "util/telemetry.hpp"
 
@@ -95,11 +94,10 @@ void write_eval(JsonWriter& w, const EvalResult& e) {
 
 std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
                             const FlowResult& r, const RunErrorInfo& err) {
-  // All counter/gauge/profile/event reads go through the run's own context
+  // All counter/gauge/event reads go through the run's own context
   // (re-entrancy: reporting run A must not read whatever context happens to
-  // be bound right now); binding it here makes the nested writers —
-  // profiler::write_report_block in particular — resolve the right
-  // instances too.
+  // be bound right now); binding it here makes the nested writers resolve
+  // the right instances too.
   RP_ASSERT(r.obs != nullptr, "run report needs the run's observability context");
   const obs::ScopedBind report_bind(r.obs.get());
   const obs::ObsContext& obs_ctx = *r.obs;
@@ -109,9 +107,9 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
   w.begin_object();
   // v5 added an optional "resources" block that is no longer written; v4
   // added the "events" block and reads the parse block's repair counts from
-  // the per-run counters; v3 the optional "parse"/"error" blocks; v2 the
-  // optional "profile" block. Every earlier field is unchanged, so old
-  // consumers keep working.
+  // the per-run counters; v3 the optional "parse"/"error" blocks; v2 an
+  // optional "profile" block, also no longer written. Every other field is
+  // unchanged, so old consumers keep working.
   w.kv("schema_version", 5);
   w.kv("tool", "routplace");
 
@@ -265,10 +263,6 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
   w.kv("flight_capacity",
        static_cast<std::int64_t>(obs::EventBus::kFlightCapacity));
   w.end_object();
-
-  // Like "parallel": runtime provenance, ignored by rp_report_diff and the
-  // determinism check (timings differ run to run by construction).
-  if (profiler::enabled()) profiler::write_report_block(w);
 
   w.kv("peak_rss_kb", static_cast<std::int64_t>(telemetry::peak_rss_kb()));
   w.kv("snapshot_dir", r.snapshot_dir);

@@ -32,9 +32,9 @@ const std::set<std::string>& allowed_flags() {
   static const std::set<std::string> k = {
       "aux",          "density",     "gen",           "incremental-eval",
       "inflate-rate", "legalizer",   "lenient",       "max-gp-iters",
-      "max-seconds",  "mode",        "profile",       "rounds",
-      "simd",         "skip-dp",     "strict",        "supply",
-      "threads",      "verbose",     "wl-model",
+      "max-seconds",  "mode",        "rounds",        "simd",
+      "skip-dp",      "strict",      "supply",        "threads",
+      "verbose",      "wl-model",
   };
   return k;
 }

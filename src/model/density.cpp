@@ -6,7 +6,6 @@
 
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
-#include "util/profiler.hpp"
 #include "util/simd.hpp"
 #include "util/telemetry.hpp"
 
@@ -144,7 +143,6 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
 double DensityModel::value(const PlaceProblem& p) {
   if (p.nodes.size() != shape_x_.size())
     throw std::runtime_error("density eval: problem node count differs from the model's");
-  RP_PROFILE_REGION("kernel/density");
   const auto nx = static_cast<std::size_t>(grid_.nx());
   const auto nn = static_cast<std::size_t>(p.num_nodes());
   RP_COUNT("parallel.density_evals", 1);
@@ -207,7 +205,6 @@ void DensityModel::gradient(const PlaceProblem& p, std::span<double> gx,
   if (gx.size() != p.nodes.size() || gy.size() != p.nodes.size() ||
       csum_.size() != p.nodes.size())
     throw std::runtime_error("density gradient: size mismatch");
-  RP_PROFILE_REGION("kernel/density");
   const auto nx = static_cast<std::size_t>(grid_.nx());
   const auto nn = static_cast<std::size_t>(p.num_nodes());
   size_samples();
@@ -260,7 +257,6 @@ Grid2D<double> DensityModel::rasterized_density(const PlaceProblem& p) const {
 }
 
 double DensityModel::overflow(const PlaceProblem& p) const {
-  RP_PROFILE_REGION("kernel/density_overflow");
   const Grid2D<double> g = rasterized_density(p);
   double over = 0.0, area = 0.0;
   for (int iy = 0; iy < grid_.ny(); ++iy)

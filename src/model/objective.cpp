@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/parallel.hpp"
-#include "util/profiler.hpp"
 
 namespace rp {
 
@@ -60,7 +59,6 @@ double PlacementObjective::eval(std::span<const double> z, std::span<double> gra
 }
 
 double PlacementObjective::value(std::span<const double> z) {
-  RP_PROFILE_REGION("kernel/objective");
   unpack(z);
   const std::size_t nn = p_.nodes.size();
   parallel::parallel_for(nn, kElemGrain, [&](std::size_t b, std::size_t e, int) {
@@ -73,7 +71,6 @@ double PlacementObjective::value(std::span<const double> z) {
 }
 
 void PlacementObjective::gradient(std::span<double> grad) {
-  RP_PROFILE_REGION("kernel/objective");
   const bool with_density = lambda_ != 0.0;
   if (with_density) dens_.gradient(p_, dx_, dy_);
   // grad = ∂WL + λ·∂N, packed (the λ == 0 path never reads dx_/dy_).

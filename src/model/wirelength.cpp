@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "util/parallel.hpp"
-#include "util/profiler.hpp"
 #include "util/simd.hpp"
 #include "util/simd_detail.hpp"
 #include "util/telemetry.hpp"
@@ -346,7 +345,6 @@ double WirelengthModel::evaluate(const PlaceProblem& p, bool wa, bool grad,
                                  std::span<double> gx, std::span<double> gy) const {
   if (grad && (gx.size() != p.nodes.size() || gy.size() != p.nodes.size()))
     throw std::runtime_error("wirelength eval: gradient span size mismatch");
-  RP_PROFILE_REGION("kernel/wirelength");
   RP_COUNT("parallel.wl_evals", 1);
   const auto run = [&](NetlistCsr& c, double* total) {
     if (wa)

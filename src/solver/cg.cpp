@@ -9,7 +9,6 @@
 #include "util/logger.hpp"
 #include "util/obs_context.hpp"
 #include "util/parallel.hpp"
-#include "util/profiler.hpp"
 #include "util/simd.hpp"
 #include "util/telemetry.hpp"
 
@@ -50,7 +49,6 @@ void axpy_into(std::vector<double>& out, const std::vector<double>& z, double al
 
 CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptions& opt) {
   RP_ASSERT(!z.empty(), "minimize_cg on empty vector");
-  RP_PROFILE_REGION("kernel/cg");
   const std::size_t n = z.size();
   std::vector<double> g(n), g_prev(n), d(n), z_trial(n), g_trial(n);
 

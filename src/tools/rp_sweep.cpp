@@ -1,7 +1,9 @@
 // `rp_sweep` — campaign orchestrator for cross-run observability.
 //
-//   rp_sweep --spec campaign.json --out campaigns/ablation \
+//   rp_sweep --spec campaign.json --out campaigns/ablation
 //            --routplace build/src/core/routplace [--jobs 4]
+//
+// (one command line, wrapped here for width)
 //
 // Expands the spec's configuration × seed grid, fans runs out across child
 // processes (at most --jobs concurrent), captures every run's report /

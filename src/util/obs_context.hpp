@@ -5,7 +5,6 @@
 //   ObsContext
 //    ├── telemetry::Registry    counters + gauges   (RP_COUNT / RP_GAUGE)
 //    ├── telemetry::TraceBuffer Chrome-trace spans  (RP_TRACE_SPAN)
-//    ├── profiler::Profiler     region histograms   (RP_PROFILE_REGION)
 //    └── obs::EventBus          typed events, NDJSON stream, flight recorder
 //
 // Every flow run owns a context: the caller's (FlowOptions::obs), or a fresh
@@ -19,18 +18,17 @@
 //
 // THREAD-BOUND CURRENT CONTEXT. `current()` resolves to the context bound to
 // this thread (`bind` / ScopedBind), falling back to a process-wide default.
-// `Registry::instance()` / `Profiler::instance()` and every RP_* macro
-// resolve against current(), so the entire codebase — and its tests — work
-// unchanged; code that never binds a context sees exactly the old global
-// behavior. Two threads bound to two different contexts observe fully
+// `Registry::instance()` and every RP_* macro resolve against current(), so
+// the entire codebase — and its tests — work unchanged; code that never
+// binds a context sees exactly the old global behavior. Two threads bound to two different contexts observe fully
 // disjoint counters/traces/events (the re-entrancy ctest proves byte-
 // identical reports for concurrent runs).
 //
-// MACRO SLOT CACHES. RP_COUNT/RP_GAUGE/RP_PROFILE_REGION cache their slot
-// pointer per call site in a thread_local stamped with the owning registry's
-// epoch (a process-unique id minted at registry construction). A cache hit
-// is one compare + one add; switching contexts — or destroying one and
-// allocating another at the same address — changes the epoch and forces
+// MACRO SLOT CACHES. RP_COUNT/RP_GAUGE cache their slot pointer per call
+// site in a thread_local stamped with the owning registry's epoch (a
+// process-unique id minted at registry construction). A cache hit is one
+// compare + one add; switching contexts — or destroying one and allocating
+// another at the same address — changes the epoch and forces
 // re-resolution. Stale pointers are never dereferenced.
 //
 // LIFETIME. A bound context must outlive its binding (ScopedBind unwinds in
@@ -50,13 +48,12 @@
 #include <string>
 
 #include "util/event_bus.hpp"
-#include "util/profiler.hpp"
 #include "util/telemetry.hpp"
 
 namespace rp::obs {
 
 /// One run's worth of observability state. Default-constructible, owns all
-/// four sinks; see the file comment for the binding/lifetime contract.
+/// three sinks; see the file comment for the binding/lifetime contract.
 class ObsContext {
  public:
   ObsContext() = default;
@@ -66,22 +63,17 @@ class ObsContext {
   telemetry::Registry& registry() { return registry_; }
   const telemetry::Registry& registry() const { return registry_; }
   telemetry::TraceBuffer& trace() { return trace_; }
-  profiler::Profiler& profiler() { return profiler_; }
   EventBus& events() { return events_; }
   const EventBus& events() const { return events_; }
 
-  /// Zero counters/gauges and profiler histograms in place (slot addresses
-  /// and epochs are preserved; the event bus and trace buffer are not
-  /// touched). Fresh contexts start zeroed — this is for reuse.
-  void reset() {
-    registry_.reset();
-    profiler_.reset();
-  }
+  /// Zero counters/gauges in place (slot addresses and epochs are
+  /// preserved; the event bus and trace buffer are not touched). Fresh
+  /// contexts start zeroed — this is for reuse.
+  void reset() { registry_.reset(); }
 
  private:
   telemetry::Registry registry_;
   telemetry::TraceBuffer trace_;
-  profiler::Profiler profiler_;
   EventBus events_;
 };
 

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "util/assert.hpp"
+#include "util/profiler.hpp"
 #include "util/telemetry.hpp"
 
 namespace rp::parallel {
@@ -49,9 +50,9 @@ namespace {
 /// regions degrade to inline ascending-order execution (same result).
 thread_local bool t_in_region = false;
 
-/// Chunk/worker timing switch (profiler::set_enabled routes here). Written
-/// on the main thread outside regions; workers observe it via the per-job
-/// flag published with each job, never directly.
+/// Chunk/worker timing switch (set_pool_profiling). Written on the main
+/// thread outside regions; workers observe it via the per-job flag
+/// published with each job, never directly.
 bool g_pool_profiling = false;
 }  // namespace
 
@@ -59,8 +60,6 @@ void set_pool_profiling(bool on) {
   RP_ASSERT(!t_in_region, "set_pool_profiling from inside a parallel region");
   g_pool_profiling = on;
 }
-
-bool pool_profiling() { return g_pool_profiling; }
 
 namespace {
 /// How long an idle worker polls for the next job, and the caller for the
@@ -142,7 +141,6 @@ struct ThreadPool::Impl {
   struct alignas(64) WorkerSlot {
     std::uint64_t busy_ns = 0;
     std::int64_t chunks = 0;
-    profiler::LatencyHistogram hist;  ///< This region's chunk durations.
     struct Ev {
       std::uint64_t start_ns = 0;
       std::uint64_t dur_ns = 0;
@@ -153,14 +151,12 @@ struct ThreadPool::Impl {
     void time_chunk(std::uint64_t start_ns, std::uint64_t dur_ns, bool keep_event) {
       busy_ns += dur_ns;
       ++chunks;
-      hist.record(dur_ns);
       if (keep_event && num_events < kDefaultMaxChunks)
         events[num_events++] = {start_ns, dur_ns};
     }
     void clear_region() {
       busy_ns = 0;
       chunks = 0;
-      hist.clear();
       num_events = 0;
     }
   };
@@ -168,7 +164,6 @@ struct ThreadPool::Impl {
 
   // Cumulative profile (main-thread only: fold/snapshot/reset).
   std::vector<WorkerProfile> totals;  // size threads_
-  profiler::LatencyHistogram chunk_hist;
   std::int64_t prof_regions = 0;
   double wall_sum_ns = 0.0, busy_sum_ns = 0.0;
   double eff_sum = 0.0, eff_min = 0.0, imb_max = 0.0;
@@ -176,7 +171,6 @@ struct ThreadPool::Impl {
   void reset_profile() {
     for (WorkerProfile& t : totals) t = WorkerProfile{};
     for (WorkerSlot& s : slots) s.clear_region();
-    chunk_hist.clear();
     prof_regions = 0;
     wall_sum_ns = busy_sum_ns = eff_sum = 0.0;
     eff_min = imb_max = 0.0;
@@ -195,7 +189,6 @@ struct ThreadPool::Impl {
         t.busy_ns += slot.busy_ns;
         t.wait_ns += wall_ns > slot.busy_ns ? wall_ns - slot.busy_ns : 0;
         t.chunks += slot.chunks;
-        chunk_hist.merge(slot.hist);
       }
       if (trace)
         for (int i = 0; i < slot.num_events; ++i)
@@ -386,7 +379,6 @@ PoolProfile pool_profile() {
   p.efficiency_min = s.eff_min;
   p.imbalance_max = s.imb_max;
   p.workers = s.totals;
-  p.chunk_hist = s.chunk_hist;
   return p;
 }
 

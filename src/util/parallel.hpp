@@ -34,8 +34,6 @@
 #include <functional>
 #include <vector>
 
-#include "util/profiler.hpp"
-
 namespace rp::parallel {
 
 /// Chunk layout for a range [0, n): `count` chunks with near-equal sizes,
@@ -78,15 +76,16 @@ int num_threads();
 
 // ------------------------------------------------------- pool observability
 //
-// When pool profiling is on (profiler::set_enabled routes here), every
-// non-nested region additionally times each chunk into a PRE-ALLOCATED
-// per-worker slot (cacheline-aligned, sized at resize() time — zero
-// steady-state allocation). After the region completes, the CALLING thread
-// folds the slots in ascending worker order into the cumulative profile:
-// per-worker busy/wait nanoseconds, chunk counts, a chunk-duration
-// histogram, and per-region efficiency/imbalance ratios. Workers never
-// touch shared accumulators, and nothing here feeds back into chunk
-// planning or results — the determinism contract is untouched.
+// When pool profiling is on (perfbench switches it on around a timed run),
+// every non-nested region additionally times each chunk into a
+// PRE-ALLOCATED per-worker slot (cacheline-aligned, sized at resize() time
+// — zero steady-state allocation). After the region completes, the CALLING
+// thread folds the slots in ascending worker order into the cumulative
+// profile: per-worker busy/wait nanoseconds, chunk counts, and per-region
+// efficiency/imbalance ratios. The same per-chunk timing feeds the
+// `pool/chunk` spans of a Chrome trace. Workers never touch shared
+// accumulators, and nothing here feeds back into chunk planning or results
+// — the determinism contract is untouched.
 
 /// Cumulative per-worker accounting (worker 0 is the caller).
 struct WorkerProfile {
@@ -105,14 +104,10 @@ struct PoolProfile {
   double efficiency_min = 0.0;
   double imbalance_max = 0.0;    ///< Max over regions of max-busy/mean-busy.
   std::vector<WorkerProfile> workers;
-  profiler::LatencyHistogram chunk_hist;  ///< Every chunk's duration.
 };
 
 /// Toggle chunk/worker timing. Main thread, outside parallel regions.
-/// Prefer profiler::set_enabled(), which flips this together with the
-/// region histograms.
 void set_pool_profiling(bool on);
-bool pool_profiling();
 
 /// Snapshot / zero the cumulative pool profile (main-thread only; reset
 /// preserves the pre-allocated slots).

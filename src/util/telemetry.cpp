@@ -108,23 +108,16 @@ void emit_span(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns, i
 
 TraceSpan::TraceSpan(std::string name) {
   TraceBuffer& tb = obs::current().trace();
-  const bool trace = tb.enabled();
-  const bool profile = profiler::enabled();
-  if (!trace && !profile) return;
+  if (!tb.enabled()) return;
   name_ = std::move(name);
   t0_ns_ = profiler::now_ns();
-  if (profile) prof_ = &profiler::Profiler::instance();
-  if (trace) {
-    buf_ = &tb;
-    tb.enter_span();
-  }
+  buf_ = &tb;
+  tb.enter_span();
 }
 
 TraceSpan::~TraceSpan() {
-  if (buf_ == nullptr && prof_ == nullptr) return;
-  const std::uint64_t dur_ns = profiler::now_ns() - t0_ns_;
-  if (prof_ != nullptr) prof_->record(name_, dur_ns);
   if (buf_ == nullptr) return;
+  const std::uint64_t dur_ns = profiler::now_ns() - t0_ns_;
   TraceEvent e;
   e.name = std::move(name_);
   e.ts_us = t0_ns_ >= buf_->epoch_ns()

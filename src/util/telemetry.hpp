@@ -34,10 +34,6 @@
 #include <utility>
 #include <vector>
 
-namespace rp::profiler {
-class Profiler;
-}
-
 namespace rp::telemetry {
 
 struct Counter {
@@ -150,10 +146,9 @@ std::string trace_json();
 bool write_trace_json(const std::string& path);
 
 /// RAII span: records a complete trace event over its lifetime when tracing
-/// is on, and feeds its duration into the profiler's region histogram when
-/// profiling is on (either switch arms it; both off keeps it to two
-/// branches). Captures its context's buffer/profiler at construction, so a
-/// span straddling a rebind still lands in the context it started in.
+/// is on (off, it costs one branch). Captures its context's buffer at
+/// construction, so a span straddling a rebind still lands in the context
+/// it started in.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string name);
@@ -163,8 +158,7 @@ class TraceSpan {
 
  private:
   std::string name_;
-  TraceBuffer* buf_ = nullptr;          ///< Non-null while tracing.
-  profiler::Profiler* prof_ = nullptr;  ///< Non-null while profiling.
+  TraceBuffer* buf_ = nullptr;  ///< Non-null while tracing.
   std::uint64_t t0_ns_ = 0;
 };
 

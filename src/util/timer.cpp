@@ -129,15 +129,4 @@ std::string StageTimes::report() const {
   return os.str();
 }
 
-std::string StageTimes::report_flat() const {
-  std::ostringstream os;
-  os.precision(2);
-  os << std::fixed;
-  for (const auto& [name, t] : stages_) {
-    if (name.find('/') == std::string::npos) os << name << "=" << t << "s ";
-  }
-  os << "total=" << total() << "s";
-  return os.str();
-}
-
 }  // namespace rp

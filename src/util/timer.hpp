@@ -40,8 +40,6 @@ class StageTimes {
   double total() const;
   /// Tree-formatted breakdown, one stage per line, children indented.
   std::string report() const;
-  /// Legacy one-line "name=1.23s ... total=…s" form (root stages only).
-  std::string report_flat() const;
 
   /// Copy every entry of `other` in under `prefix/` (used to splice a
   /// sub-component's private StageTimes into the flow's).

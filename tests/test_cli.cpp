@@ -46,8 +46,9 @@ TEST(Cli, ParsesAllOptions) {
 
 TEST(Cli, RejectsUnknownOption) {
   EXPECT_THROW(parse_cli_args({"--frobnicate"}), std::runtime_error);
-  // A retired option is unknown too (main() maps the throw to exit 2).
+  // Retired options are unknown too (main() maps the throw to exit 2).
   EXPECT_THROW(parse_cli_args({"--sample-resources", "5"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--profile"}), std::runtime_error);
 }
 
 TEST(Cli, RejectsMissingValue) {
@@ -135,13 +136,6 @@ TEST(Cli, ParsesThreadsFlag) {
   EXPECT_NE(cli_usage().find("--threads"), std::string::npos);
 }
 
-TEST(Cli, ParsesProfileFlag) {
-  EXPECT_FALSE(parse_cli_args({}).profile);
-  EXPECT_TRUE(parse_cli_args({"--profile"}).profile);
-  EXPECT_NE(cli_usage().find("--profile"), std::string::npos);
-  EXPECT_NE(cli_usage().find("RP_PROFILE"), std::string::npos);
-}
-
 TEST(Cli, ParsesTelemetryOutputFlags) {
   const CliConfig c = parse_cli_args(
       {"--report-json", "r.json", "--trace-json", "t.json"});
@@ -218,7 +212,7 @@ TEST(Cli, EndToEndEmitsReportAndTrace) {
   // Report: schema-valid and self-consistent.
   const JsonValue rep = json_parse(slurp(report));
   EXPECT_EQ(rep.at("schema_version").num, 5.0);
-  EXPECT_FALSE(rep.has("profile"));  // off by default — the block is absent
+  EXPECT_FALSE(rep.has("profile"));    // no longer written
   EXPECT_FALSE(rep.has("resources"));  // no longer written
   EXPECT_GT(rep.at("peak_rss_kb").num, 0.0);
   EXPECT_EQ(rep.at("design").at("name").str, "gen300");

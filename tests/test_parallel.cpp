@@ -1,6 +1,8 @@
 // util/parallel + model/netlist_csr: the determinism contract. Every test
 // that matters here asserts BITWISE equality of kernel outputs across
 // different pool sizes — the property the snapshot/report gates rely on.
+// The pool's busy/wait accounting (PoolProfile, read by perfbench) is
+// checked here too: it adds up, and switching it on changes no result.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "solver/cg.hpp"
 #include "util/logger.hpp"
 #include "util/parallel.hpp"
+#include "util/profiler.hpp"
 #include "util/rng.hpp"
 
 namespace rp {
@@ -279,6 +282,103 @@ TEST(ThreadPool, ConcurrentSubmittersGetTheirOwnResults) {
   ASSERT_EQ(got_b.size(), ref_b.size());
   EXPECT_EQ(std::memcmp(got_a.data(), ref_a.data(), ref_a.size() * sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(got_b.data(), ref_b.data(), ref_b.size() * sizeof(double)), 0);
+}
+
+// ---- pool busy/wait accounting (perfbench's parallel.* metrics) ----
+
+/// RAII: pool accounting on and zeroed for one test, off and zeroed after.
+struct PoolProfileScope {
+  PoolProfileScope() {
+    parallel::reset_pool_profile();
+    profiler::set_enabled(true);
+  }
+  ~PoolProfileScope() {
+    profiler::set_enabled(false);
+    parallel::reset_pool_profile();
+  }
+};
+
+TEST(PoolProfile, BusyPlusWaitEqualsRegionWallPerWorker) {
+  PoolGuard guard;
+  PoolProfileScope on;
+  parallel::set_num_threads(4);
+  std::vector<double> out(20000);
+  parallel::parallel_for(out.size(), 64, [&](std::size_t b, std::size_t e, int) {
+    for (std::size_t i = b; i < e; ++i) out[i] = std::sqrt(static_cast<double>(i));
+  });
+  const parallel::PoolProfile p = parallel::pool_profile();
+
+  EXPECT_EQ(p.threads, 4);
+  EXPECT_EQ(p.regions, 1);
+  ASSERT_EQ(p.workers.size(), 4u);
+  // wait := wall - busy by construction, so the sum is exact per worker and
+  // the per-region identity survives accumulation over regions:
+  //   Σ_w (busy_w + wait_w) == threads · Σ wall.
+  double busy_wait_sum = 0.0;
+  std::int64_t chunks = 0;
+  for (const parallel::WorkerProfile& w : p.workers) {
+    busy_wait_sum += static_cast<double>(w.busy_ns + w.wait_ns);
+    chunks += w.chunks;
+  }
+  const double expected = static_cast<double>(p.threads) * p.wall_ns;
+  EXPECT_NEAR(busy_wait_sum, expected, 1e-6 * expected + 1.0);
+  EXPECT_EQ(chunks, parallel::plan_chunks(out.size(), 64).count);  // each once
+  EXPECT_GT(p.busy_ns, 0.0);
+  EXPECT_LE(p.busy_ns, expected);
+  EXPECT_GT(p.efficiency_mean, 0.0);
+  EXPECT_LE(p.efficiency_mean, 1.0 + 1e-9);
+  EXPECT_GE(p.imbalance_max, 1.0 - 1e-9);
+}
+
+TEST(PoolProfile, SingleThreadInlineRegionsAreAccounted) {
+  PoolGuard guard;
+  PoolProfileScope on;
+  parallel::set_num_threads(1);
+  std::vector<double> out(5000);
+  parallel::parallel_for(out.size(), 16, [&](std::size_t b, std::size_t e, int) {
+    for (std::size_t i = b; i < e; ++i) out[i] = static_cast<double>(i) * 0.5;
+  });
+  const parallel::PoolProfile p = parallel::pool_profile();
+  EXPECT_EQ(p.threads, 1);
+  EXPECT_GE(p.regions, 1);
+  ASSERT_EQ(p.workers.size(), 1u);
+  EXPECT_GT(p.workers[0].busy_ns, 0u);
+  EXPECT_EQ(p.workers[0].chunks, parallel::plan_chunks(out.size(), 16).count);
+}
+
+TEST(PoolProfile, DisabledMeansZeroAccounting) {
+  PoolGuard guard;
+  profiler::set_enabled(false);
+  parallel::reset_pool_profile();
+  parallel::set_num_threads(2);
+  std::vector<double> out(5000);
+  parallel::parallel_for(out.size(), 16, [&](std::size_t b, std::size_t e, int) {
+    for (std::size_t i = b; i < e; ++i) out[i] = static_cast<double>(i);
+  });
+  const parallel::PoolProfile p = parallel::pool_profile();
+  EXPECT_EQ(p.regions, 0);
+  for (const parallel::WorkerProfile& w : p.workers) {
+    EXPECT_EQ(w.busy_ns, 0u);
+    EXPECT_EQ(w.chunks, 0);
+  }
+}
+
+TEST(PoolProfile, ProfilingDoesNotChangeResults) {
+  PoolGuard guard;
+  std::vector<double> base(30000), profiled(30000);
+  const auto fill = [](std::vector<double>& v) {
+    parallel::parallel_for(v.size(), 64, [&](std::size_t b, std::size_t e, int) {
+      for (std::size_t i = b; i < e; ++i)
+        v[i] = std::sin(static_cast<double>(i)) * 1e-3 + std::sqrt(static_cast<double>(i));
+    });
+  };
+  parallel::set_num_threads(4);
+  fill(base);
+  {
+    PoolProfileScope on;
+    fill(profiled);
+  }
+  EXPECT_EQ(base, profiled);  // bitwise: accounting only reads clocks
 }
 
 PlaceProblem test_problem() {

@@ -238,13 +238,21 @@ TEST(ReportDiff, IdenticalDocumentsAreClean) {
 }
 
 TEST(ReportDiff, FindsChangedValueWithDottedPath) {
-  const JsonValue a = json_parse(R"({"eval":{"hpwl":100.0},"trace":[1,2,3]})");
-  const JsonValue b = json_parse(R"({"eval":{"hpwl":110.0},"trace":[1,2,4]})");
+  const JsonValue a =
+      json_parse(R"({"eval":{"hpwl":100.0},"gp":[{"hpwl":12563.29567}],"trace":[1,2,3]})");
+  const JsonValue b =
+      json_parse(R"({"eval":{"hpwl":110.0},"gp":[{"hpwl":12563.295671}],"trace":[1,2,4]})");
   const ReportDiffResult r = diff_json_values(a, b);
-  ASSERT_EQ(r.diffs.size(), 2u);
+  ASSERT_EQ(r.diffs.size(), 3u);
   EXPECT_EQ(r.diffs[0].path, "eval.hpwl");
   EXPECT_DOUBLE_EQ(r.diffs[0].delta, 10.0);
-  EXPECT_EQ(r.diffs[1].path, "trace[2]");
+  // A 1e-6 change in the 11th significant digit must still print as two
+  // different numbers (values render at round-trip precision).
+  EXPECT_EQ(r.diffs[1].path, "gp[0].hpwl");
+  EXPECT_NE(r.diffs[1].a, r.diffs[1].b);
+  EXPECT_EQ(json_parse(r.diffs[1].a).num, 12563.29567);
+  EXPECT_EQ(json_parse(r.diffs[1].b).num, 12563.295671);
+  EXPECT_EQ(r.diffs[2].path, "trace[2]");
 }
 
 TEST(ReportDiff, ToleranceSilencesSmallDeltas) {

@@ -82,8 +82,9 @@ TEST(SweepSpecParse, IllegalSpecsAreValidationErrors) {
   EXPECT_EQ(thrown_exit_code(R"({"axes": {"report-json": ["a"]}})"), 4);
   // Unknown placer flag.
   EXPECT_EQ(thrown_exit_code(R"({"base": {"frobnicate": 1}})"), 4);
-  // A retired placer flag is unknown too.
+  // Retired placer flags are unknown too.
   EXPECT_EQ(thrown_exit_code(R"({"base": {"sample-resources": 5}})"), 4);
+  EXPECT_EQ(thrown_exit_code(R"({"base": {"profile": true}})"), 4);
   // Empty axis, duplicate seeds, negative seed.
   EXPECT_EQ(thrown_exit_code(R"({"axes": {"mode": []}})"), 4);
   EXPECT_EQ(thrown_exit_code(R"({"seeds": [1, 1]})"), 4);

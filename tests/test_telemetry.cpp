@@ -1,14 +1,18 @@
 // Tests for the telemetry layer: the counter/gauge registry (including its
 // reset-between-runs contract), the trace-span buffer and its Chrome
-// trace-event JSON serialization, and peak-RSS sampling.
+// trace-event JSON serialization (pool chunks on worker lanes included),
+// and peak-RSS sampling.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 #include "util/telemetry.hpp"
 
 namespace rp {
@@ -142,6 +146,44 @@ TEST(TelemetryTrace, WriteProducesParsableFile) {
                       e.at("name").str == "span \"with\" quotes\n");
   EXPECT_TRUE(found);
   fs::remove(path);
+}
+
+TEST(TraceEvents, PoolChunksCarryWorkerTids) {
+  const int saved_threads = parallel::num_threads();
+  parallel::set_num_threads(3);
+  telemetry::start_trace();
+  // The chunk->worker race is dynamic: on a fast machine the caller can
+  // drain a tiny region before the workers even wake, putting every chunk
+  // on lane 0. Re-run regions with real per-chunk work until a worker
+  // participates (bounded; one pass is the overwhelmingly common case).
+  std::vector<double> out(200000);
+  int max_tid = 0;
+  for (int attempt = 0; attempt < 50 && max_tid == 0; ++attempt) {
+    parallel::parallel_for(out.size(), 64, [&](std::size_t b, std::size_t e, int) {
+      for (std::size_t i = b; i < e; ++i)
+        out[i] = std::sin(static_cast<double>(i)) + std::sqrt(static_cast<double>(i));
+    });
+    for (const telemetry::TraceEvent& e : telemetry::trace_events())
+      if (e.name == "pool/chunk") max_tid = std::max(max_tid, e.tid);
+  }
+  telemetry::stop_trace();
+  parallel::set_num_threads(saved_threads);
+
+  int chunk_events = 0;
+  for (const telemetry::TraceEvent& e : telemetry::trace_events()) {
+    if (e.name == "pool/chunk") {
+      ++chunk_events;
+      EXPECT_GE(e.tid, 0);
+      EXPECT_LT(e.tid, 3);
+    } else {
+      EXPECT_EQ(e.tid, 0) << "main-thread span on a worker lane";
+    }
+  }
+  EXPECT_GT(chunk_events, 0);
+  EXPECT_GT(max_tid, 0);
+  const std::string json = telemetry::trace_json();
+  EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
+  EXPECT_NE(json.find("worker-1"), std::string::npos);
 }
 
 TEST(TelemetryRss, PeakRssIsPositiveOnSupportedPlatforms) {

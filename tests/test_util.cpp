@@ -438,16 +438,6 @@ TEST(StageTimes, MergeSplicesUnderPrefix) {
   EXPECT_DOUBLE_EQ(outer.total(), 1.5);
 }
 
-TEST(StageTimes, FlatReportKeepsLegacyShape) {
-  StageTimes st;
-  st.add("gp", 1.5);
-  st.add("gp/level0", 1.0);
-  const std::string flat = st.report_flat();
-  EXPECT_NE(flat.find("gp=1.50s"), std::string::npos);
-  EXPECT_EQ(flat.find("level0"), std::string::npos);
-  EXPECT_NE(flat.find("total=1.50s"), std::string::npos);
-}
-
 TEST(Timer, MeasuresNonNegative) {
   Timer t;
   EXPECT_GE(t.seconds(), 0.0);
