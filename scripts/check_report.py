@@ -18,7 +18,9 @@ Runs `routplace --gen ... --report-json ... --trace-json ...
   * the failure contract (schema v3): a malformed Bookshelf benchmark must
     exit 3 (ParseError) and still write a report whose "error" block carries
     code/message/where (file:line)/stage/exit_code, plus a "parse" block with
-    the parse mode and repair counters.
+    the parse mode and repair counters, and a --flight-json dump: schema
+    "rp_flight" v1, reason ParseError, seq-ordered ring events ending in the
+    terminal error event, and the counter/gauge snapshot.
 
 Usage: check_report.py /path/to/routplace [--keep]
 Exit code 0 on success; prints every failed expectation otherwise.
@@ -269,9 +271,36 @@ def validate_error_block(report, expect_code, expect_exit):
     check(bool(err["stage"]), "report.error.stage empty")
 
 
+def validate_flight(path):
+    """The flight-recorder document dumped on a ParseError exit."""
+    if not check(path.exists(), "malformed input: no flight dump written"):
+        return
+    doc = load_json_strict(path, "flight dump")
+    if doc is None:
+        return
+    check(doc.get("schema") == "rp_flight", "flight: schema != rp_flight")
+    check(doc.get("version") == 1, "flight: version != 1")
+    check(doc.get("reason") == "ParseError", "flight: reason != ParseError")
+    events = doc.get("events")
+    if not check(isinstance(events, list) and events, "flight: events empty"):
+        return
+    check(doc.get("events_total", -1) >= len(events),
+          "flight: events_total < len(events)")
+    for i, ev in enumerate(events):
+        for key in ("seq", "t_ms", "event", "label", "i", "d"):
+            check(key in ev, f"flight events[{i}]: missing '{key}'")
+    seqs = [ev.get("seq", -1) for ev in events]
+    check(seqs == sorted(seqs), "flight: events not seq-ordered (oldest first)")
+    check(events[-1].get("event") == "error",
+          "flight: last ring entry is not the terminal error event")
+    check(isinstance(doc.get("counters"), dict), "flight: counters missing")
+    check(isinstance(doc.get("gauges"), dict), "flight: gauges missing")
+
+
 def run_negative_path(binary, tmp):
     """A malformed benchmark must exit 3 (ParseError) and still write a
-    schema-valid report whose 'error' block points at the failing file:line."""
+    schema-valid report whose 'error' block points at the failing file:line,
+    and a flight dump."""
     bench = tmp / "badbench"
     bench.mkdir()
     (bench / "m.aux").write_text(
@@ -290,13 +319,16 @@ def run_negative_path(binary, tmp):
         " SubrowOrigin : 0 NumSites : 100\nEnd\n")
 
     report_path = tmp / "bad.report.json"
+    flight_path = tmp / "bad.flight.json"
     cmd = [str(binary), "--aux", str(bench / "m.aux"),
-           "--out", str(tmp / "bad.pl"), "--report-json", str(report_path)]
+           "--out", str(tmp / "bad.pl"), "--report-json", str(report_path),
+           "--flight-json", str(flight_path)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
     check(proc.returncode == 3,
           f"malformed input: exit {proc.returncode}, expected 3 (ParseError)")
     check("ParseError" in proc.stderr,
           "malformed input: stderr does not mention ParseError")
+    validate_flight(flight_path)
     if not check(report_path.exists(),
                  "malformed input: no report written on failure"):
         return
@@ -347,9 +379,6 @@ def validate_snapshots(snap_dir, rounds_ran):
             vals = struct.unpack_from(f"<{nx * ny}d", raw, 12)
             check(all(math.isfinite(v) for v in vals),
                   f"{m['grid']}: non-finite cell values")
-        if "ppm" in m:
-            check((snap_dir / m["ppm"]).exists(),
-                  f"manifest: ppm file '{m['ppm']}' missing")
         names_by_stage.setdefault(m["stage"], set()).add(m["name"])
 
     # Acceptance contract: density/overflow/inflation per routability round.

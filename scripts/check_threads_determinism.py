@@ -26,11 +26,9 @@ axes at a fixed thread count with the cross-checker armed. Identical means:
 4. a strict Python comparison of the reports after dropping only the
    documented volatile keys (timings, RSS, build stamp, output paths,
    parallel + simd blocks) — so a new thread- or dispatch-
-   dependent field can't hide behind a loose tolerance;
-5. the --progress-ndjson event streams match line for line once the two
-   documented volatile fields per line ("seq", "t_ms") are dropped —
-   event PAYLOADS are part of the determinism contract
-   (util/event_bus.hpp).
+   dependent field can't hide behind a loose tolerance. This covers the
+   event count (events.emitted), which must not depend on the
+   configuration either.
 
 One more leg pins the flow across commits, not just across
 configurations: rp_report_diff (default volatile-key ignores, zero
@@ -42,7 +40,6 @@ unless the golden is re-recorded on purpose, from the repository root:
   mkdir -p /tmp/g && RP_SIMD=off build/src/core/routplace --gen 700 \
       --seed 13 --rounds 2 --threads 1 --incremental-eval off \
       --out /tmp/g/out.pl --snapshot-dir /tmp/g/snapshots \
-      --progress-ndjson /tmp/g/progress.ndjson \
       --report-json tests/golden/gen700_s13.report.json
 
 Usage: check_threads_determinism.py <routplace> <rp_report_diff> [threads]
@@ -87,19 +84,6 @@ def scrub(doc):
     return out
 
 
-NDJSON_VOLATILE = {"seq", "t_ms"}  # stamped by emit(); everything else is payload
-
-
-def ndjson_payloads(path):
-    """Parse an NDJSON stream into per-line dicts with the volatile stamp
-    fields removed — what the determinism contract says must match."""
-    lines = []
-    for raw in Path(path).read_text().splitlines():
-        obj = json.loads(raw)
-        lines.append({k: v for k, v in obj.items() if k not in NDJSON_VOLATILE})
-    return lines
-
-
 def run_flow(routplace, outdir, threads, trace_json=None, env=None,
              extra_args=()):
     outdir.mkdir()
@@ -107,8 +91,7 @@ def run_flow(routplace, outdir, threads, trace_json=None, env=None,
     snap = outdir / "snapshots"
     cmd = [str(routplace), "--gen", "700", "--seed", "13", "--rounds", "2",
            "--threads", str(threads), "--out", str(outdir / "out.pl"),
-           "--report-json", str(report), "--snapshot-dir", str(snap),
-           "--progress-ndjson", str(outdir / "progress.ndjson")]
+           "--report-json", str(report), "--snapshot-dir", str(snap)]
     cmd += list(extra_args)
     if trace_json is not None:  # outside outdir: compare_trees skips it
         cmd += ["--trace-json", str(trace_json)]
@@ -136,14 +119,14 @@ def compare_trees(dir_a, dir_b):
           f"only-a={sorted(map(str, files_a - files_b))} "
           f"only-b={sorted(map(str, files_b - files_a))}")
     for rel in sorted(files_a & files_b):
-        if rel.name == "run.report.json" or rel.suffix == ".ndjson":
-            continue  # reports/streams are compared semantically below
+        if rel.name == "run.report.json":
+            continue  # reports are compared semantically below
         check(filecmp.cmp(dir_a / rel, dir_b / rel, shallow=False),
               f"'{rel}' differs between {dir_a.name} and {dir_b.name}")
 
 
 def compare_runs(report_diff, run_a, run_b):
-    """Apply checks 1-5 of the contract to one pair of runs."""
+    """Apply checks 1-4 of the contract to one pair of runs."""
     pair = f"{run_a.name} vs {run_b.name}"
     compare_trees(run_a, run_b)
 
@@ -167,22 +150,6 @@ def compare_runs(report_diff, run_a, run_b):
     check(doc_a == doc_b,
           f"scrubbed reports differ [{pair}] exactly where they must not "
           "(run with rp_report_diff for details)")
-
-    # Event-stream determinism: identical payload sequences (the stream is
-    # written by the flow's main thread, so the configuration must not
-    # change what — or in which order — events are emitted).
-    ev_a = ndjson_payloads(run_a / "progress.ndjson")
-    ev_b = ndjson_payloads(run_b / "progress.ndjson")
-    check(len(ev_a) == len(ev_b),
-          f"progress streams differ in length [{pair}]: "
-          f"{len(ev_a)} vs {len(ev_b)}")
-    if len(ev_a) == len(ev_b):
-        for i, (a, b) in enumerate(zip(ev_a, ev_b)):
-            if not check(a == b,
-                         f"progress line {i + 1} payload differs [{pair}]:\n"
-                         f"  a: {a}\n  b: {b}"):
-                break
-    check(len(ev_a) > 0, f"progress stream is empty [{pair}]")
 
 
 def main():

@@ -7,14 +7,10 @@ Stdlib only — heatmaps are decoded from the binary .grid files and embedded
 as data-URI PNGs written by a minimal zlib-based encoder, convergence curves
 are inline SVG.
 
-With --progress <run.ndjson> (the stream written by --progress-ndjson) a
-Timeline page is added: per-stage Gantt bars computed from the
-stage_begin/stage_end event pairs, and per-iteration HPWL/overflow
-convergence curves rebuilt from the gp_iter events — the same picture a
-live `tail -f` reader sees, rendered after the fact.
+This script is the one renderer of snapshot maps: routplace writes each map
+only as an RPG1 .grid file.
 
-Usage: render_report.py report.json [--snapshots DIR] [--progress NDJSON]
-                                    [-o out.html]
+Usage: render_report.py report.json [--snapshots DIR] [-o out.html]
 
 With --campaign <dir> (an rp_sweep output directory holding campaign.json)
 the tool renders a COMPARATIVE dashboard over every run in the campaign
@@ -38,7 +34,7 @@ import sys
 import zlib
 from pathlib import Path
 
-# Heat ramp — keep in sync with heat_color() in src/util/heatmap.cpp.
+# Heat ramp: dark blue -> cyan -> green -> yellow -> red.
 RAMP = [(20, 24, 82), (0, 130, 200), (10, 180, 110), (245, 205, 45), (225, 35, 35)]
 
 
@@ -155,95 +151,6 @@ def metric_cards(report):
 
 
 STAGE_COLORS = ["#4a90d9", "#2e7d32", "#c62828", "#8e6bbf", "#d98b2b", "#2b9fa8"]
-
-
-def load_progress(path):
-    """Parse an --progress-ndjson stream; skips lines that fail to parse
-    (a live-tailed file may end mid-write)."""
-    events = []
-    for raw in Path(path).read_text().splitlines():
-        try:
-            ev = json.loads(raw)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(ev, dict) and ev.get("schema") == "rp_progress":
-            events.append(ev)
-    return events
-
-
-def timeline_html(events):
-    """The 'Timeline' page: stage Gantt + event-stream convergence curves."""
-    if not events:
-        return "<div class='meta'>progress stream is empty</div>"
-    t0 = events[0]["t_ms"]
-    t1 = max(e["t_ms"] for e in events)
-    span = max(t1 - t0, 1e-9)
-    parts = []
-
-    # Stage Gantt: pair each stage_begin with the next stage_end of the same
-    # name (stages run sequentially on the flow thread; an error unwind may
-    # leave the last one open — draw it to the end of the stream).
-    open_stages, bars = {}, []
-    for ev in events:
-        if ev["event"] == "stage_begin":
-            open_stages[ev.get("stage")] = ev["t_ms"]
-        elif ev["event"] == "stage_end" and ev.get("stage") in open_stages:
-            bars.append((ev["stage"], open_stages.pop(ev["stage"]), ev["t_ms"], True))
-    for name, begin in open_stages.items():
-        bars.append((name, begin, t1, False))
-    bars.sort(key=lambda b: b[1])
-    if bars:
-        parts.append("<h3>Stage Gantt</h3>")
-        parts.append(f"<div class='meta'>{span:.1f} ms from first to last "
-                     "event; unclosed stages (error unwind) hatched</div>")
-        for i, (name, begin, end, closed) in enumerate(bars):
-            left = 100.0 * (begin - t0) / span
-            width = max(0.4, 100.0 * (end - begin) / span)
-            color = STAGE_COLORS[i % len(STAGE_COLORS)]
-            style = f"margin-left:{left:.2f}%;width:{width:.2f}%;background:{color}"
-            if not closed:
-                style += ";opacity:0.45"
-            parts.append(
-                f'<div class="stage"><span class="stagename">{html.escape(str(name))}'
-                f'{"" if closed else " (open)"}</span>'
-                f'<span class="gantt"><span class="bar" style="{style}"></span></span>'
-                f'<span class="stagesec">{end - begin:.1f} ms</span></div>')
-
-    # Convergence, rebuilt from the stream alone (no report needed): the
-    # gp_iter payload mirrors the report's gp_trace.
-    iters = [e for e in events if e["event"] == "gp_iter"]
-    if iters:
-        parts.append("<h3>Convergence (from the event stream)</h3>")
-        parts.append(f"<div>{len(iters)} GP outer iterations — HPWL (log) "
-                     "and density overflow:</div>")
-        parts.append(svg_polyline([e["hpwl"] for e in iters], log_y=True))
-        parts.append(svg_polyline([e["overflow"] for e in iters], color="#c62828"))
-
-    rounds = [e for e in events if e["event"] == "route_round"]
-    if rounds:
-        parts.append("<h3>Routability rounds</h3><table class='kv'><tr>"
-                     "<td>round</td><td>RC</td><td>overflow</td>"
-                     "<td>cells inflated</td><td>mean infl</td></tr>")
-        for r in rounds:
-            parts.append(
-                f"<tr><td>{r['round']}</td><td>{r['rc']:.1f}</td>"
-                f"<td>{r['overflow']:.0f}</td><td>{r['cells_inflated']}</td>"
-                f"<td>{r['mean_inflation']:.3f}</td></tr>")
-        parts.append("</table>")
-
-    incidents = [e for e in events
-                 if e["event"] in ("watchdog", "guard", "parse_repair", "error")]
-    if incidents:
-        parts.append("<h3>Incidents</h3><table class='kv'>"
-                     "<tr><td>t_ms</td><td>event</td><td>detail</td></tr>")
-        for e in incidents:
-            detail = {k: v for k, v in e.items()
-                      if k not in ("schema", "v", "seq", "t_ms", "event")}
-            parts.append(f"<tr><td>{e['t_ms']:.1f}</td>"
-                         f"<td>{html.escape(e['event'])}</td>"
-                         f"<td>{html.escape(json.dumps(detail))}</td></tr>")
-        parts.append("</table>")
-    return "\n".join(parts)
 
 
 def gallery_html(snap_dir):
@@ -561,8 +468,6 @@ h3 { font-size: 1em; margin: 1em 0 0.3em; }
 .stagename { min-width: 110px; }
 .bar { display: inline-block; height: 9px; background: #4a90d9;
        border-radius: 3px; }
-.gantt { display: inline-block; width: 420px; background: #eef1f5;
-         border: 1px solid #d8dee6; border-radius: 3px; }
 .stagesec { color: #5a6572; }
 .chart { margin-right: 12px; } .chartbg { fill: #fff; stroke: #d8dee6; }
 .lab { font-size: 10px; fill: #5a6572; }
@@ -589,8 +494,6 @@ def main():
     ap.add_argument("report", type=Path, nargs="?", default=None)
     ap.add_argument("--snapshots", type=Path, default=None,
                     help="snapshot directory (defaults to report's snapshot_dir)")
-    ap.add_argument("--progress", type=Path, default=None,
-                    help="--progress-ndjson stream for the Timeline page")
     ap.add_argument("--campaign", type=Path, default=None,
                     help="rp_sweep campaign directory: render the comparative "
                          "multi-run dashboard instead of a single report")
@@ -659,10 +562,6 @@ def main():
                 f"{r['ace_5']:.1f}</td><td>{r['total_overflow']:.0f}</td>"
                 f"<td>{r['cells_inflated']}</td><td>{r['mean_inflation']:.3f}</td></tr>")
         parts.append("</table>")
-
-    if args.progress is not None:
-        parts.append("<h2>Timeline</h2>")
-        parts.append(timeline_html(load_progress(args.progress)))
 
     st = report.get("stage_times", {})
     if st:

@@ -6,7 +6,7 @@ asserts the cross-run observability contract end to end:
 
   * the campaign completes with exit 0 and every run directory holds the
     captured artifacts (report.json with a positive peak_rss_kb,
-    progress.ndjson, status.json);
+    status.json);
   * re-running the FINISHED campaign directory is a no-op: every run is
     resumed (no child respawned) and campaign.json is byte-identical;
   * a second invocation into a FRESH directory produces a byte-identical
@@ -77,7 +77,7 @@ def scrubbed_summary(path):
 def validate_run_dirs(camp_dir, runs):
     for r in runs:
         rdir = camp_dir / r["dir"]
-        for name in ("report.json", "progress.ndjson", "status.json", "out.pl"):
+        for name in ("report.json", "status.json", "out.pl"):
             check((rdir / name).exists(), f"{r['id']}: missing {name}")
         report_path = rdir / "report.json"
         if not report_path.exists():

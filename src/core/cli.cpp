@@ -75,11 +75,6 @@ std::string cli_usage() {
       "  --map                   print the routed-congestion ASCII map\n"
       "  --report-json <file>    write a structured JSON run report\n"
       "  --trace-json <file>     write a chrome://tracing / Perfetto flow trace\n"
-      "  --progress-ndjson <t>   stream schema-versioned NDJSON progress events\n"
-      "                          (stage transitions, per-GP-iteration convergence,\n"
-      "                          routability rounds) to <t>: a path, '-' for\n"
-      "                          stdout, or 'fd:N' for an inherited descriptor;\n"
-      "                          flushed per event so the run can be tailed live\n"
       "  --flight-json <file>    black-box flight recorder: on an error exit,\n"
       "                          watchdog expiry, interrupt, or fatal signal,\n"
       "                          dump the last events + counter snapshot here\n"
@@ -88,7 +83,6 @@ std::string cli_usage() {
       "                          round + convergence history (see DESIGN.md)\n"
       "  --snapshot-every <n>    also capture a density map every n finest-level\n"
       "                          GP iterations (0 = off, default)\n"
-      "  --snapshot-svg          render .svg heatmaps next to the .ppm files\n"
       "  --verbose               per-iteration placer logging\n"
       "  --help                  this text\n"
       "\n"
@@ -157,12 +151,10 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
     else if (a == "--skip-dp") cfg.skip_dp = true;
     else if (a == "--report-json") cfg.report_json = need_value(i++, a);
     else if (a == "--trace-json") cfg.trace_json = need_value(i++, a);
-    else if (a == "--progress-ndjson") cfg.progress_ndjson = need_value(i++, a);
     else if (a == "--flight-json") cfg.flight_json = need_value(i++, a);
     else if (a == "--snapshot-dir") cfg.snapshot_dir = need_value(i++, a);
     else if (a == "--snapshot-every")
       cfg.snapshot_every = int_value(i++, a);
-    else if (a == "--snapshot-svg") cfg.snapshot_svg = true;
     else if (a == "--map") cfg.show_map = true;
     else if (a == "--verbose") cfg.verbose = true;
     else if (a == "--help" || a == "-h") cfg.help = true;
@@ -198,8 +190,8 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
     throw std::runtime_error("--max-seconds must be >= 0 (0 = off)");
   if (cfg.snapshot_every < 0)
     throw std::runtime_error("--snapshot-every must be >= 0");
-  if ((cfg.snapshot_every > 0 || cfg.snapshot_svg) && cfg.snapshot_dir.empty())
-    throw std::runtime_error("--snapshot-every/--snapshot-svg need --snapshot-dir");
+  if (cfg.snapshot_every > 0 && cfg.snapshot_dir.empty())
+    throw std::runtime_error("--snapshot-every needs --snapshot-dir");
   return cfg;
 }
 
@@ -218,7 +210,6 @@ FlowOptions cli_flow_options(const CliConfig& cfg) {
   opt.skip_dp = cfg.skip_dp;
   opt.snapshot.dir = cfg.snapshot_dir;
   opt.snapshot.density_every = cfg.snapshot_every;
-  opt.snapshot.render_svg = cfg.snapshot_svg;
   return opt;
 }
 
@@ -259,11 +250,6 @@ int run_cli(const CliConfig& cfg) {
   } crash_ctx_guard;  // the context dies with run_cli; disarm the handler first
   fopt.obs = obs_ctx;
 
-  if (!cfg.progress_ndjson.empty() &&
-      !obs_ctx->events().open_stream(cfg.progress_ndjson))
-    RP_THROW(ErrorCode::ResourceError,
-             "cannot open progress stream '" + cfg.progress_ndjson + "'");
-
   const auto dump_flight = [&](const char* reason) {
     if (cfg.flight_json.empty()) return;
     if (obs_ctx->events().dump_flight(cfg.flight_json, reason,
@@ -279,7 +265,6 @@ int run_cli(const CliConfig& cfg) {
     obs::Event ev = obs_ctx->events().make(obs::EventKind::RunError, e.code_name());
     ev.i0 = e.exit_code();
     obs_ctx->events().emit(ev);
-    obs_ctx->events().close_stream();
     if (trace_active) {
       telemetry::stop_trace();
       telemetry::write_trace_json(cfg.trace_json);
@@ -339,8 +324,6 @@ int run_cli(const CliConfig& cfg) {
     return report_error(e, meta);
   }
 
-  // The flow emitted its RunEnd event; the stream is complete.
-  obs_ctx->events().close_stream();
   // Watchdog expiry is a degraded-but-completed run: leave the black box.
   if (obs_ctx->registry().counter_value("guard.watchdog_gp_iters") +
           obs_ctx->registry().counter_value("guard.watchdog_seconds") >

@@ -39,12 +39,10 @@ struct CliConfig {
   // Telemetry outputs (empty: disabled):
   std::string report_json;   ///< Structured run report (see core/run_report.hpp).
   std::string trace_json;    ///< Chrome trace-event flow trace.
-  std::string progress_ndjson;  ///< Live NDJSON event stream: path, "-", "fd:N".
   std::string flight_json;   ///< Flight-recorder dump on error/crash/interrupt.
   // Spatial snapshots (see core/snapshot.hpp):
   std::string snapshot_dir;  ///< Heatmaps + convergence history directory.
   int snapshot_every = 0;    ///< >0: finest-level density map every N outers.
-  bool snapshot_svg = false; ///< Also render SVG heatmaps.
 };
 
 /// Parse argv (excluding argv[0]). Throws std::runtime_error on unknown or

@@ -121,22 +121,6 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
     tp.gamma = gamma;
     tp.inflation = inflation_mean;
     trace_.push_back(tp);
-    {
-      // Convergence point on the event bus: the payload mirrors GpTracePoint
-      // (pure function of the computation — deterministic across threads).
-      obs::EventBus& bus = obs::events();
-      char tag[24];
-      if (level_tag >= 0) std::snprintf(tag, sizeof tag, "level%d", level_tag);
-      else std::snprintf(tag, sizeof tag, "reheat%d", -level_tag);
-      obs::Event e = bus.make(obs::EventKind::GpIter, tag);
-      e.i0 = level_tag;
-      e.i1 = outer;
-      e.d0 = tp.hpwl;
-      e.d1 = ovfl;
-      e.d2 = lambda;
-      e.d3 = inflation_mean;
-      bus.emit(e);
-    }
     if (opt_.snapshot != nullptr) {
       const int every = opt_.snapshot->options().density_every;
       if (every > 0 && level_tag == 0 && outer % every == 0) {
@@ -264,24 +248,12 @@ GpStats GlobalPlacer::run(Design& d) {
             opt_.routability.max_total_inflation);
         ++stats.inflation_rounds;
         RP_COUNT("gp.inflation_rounds", 1);
-        // Per-round congestion summary (computed unconditionally now: the
-        // event bus wants it whether or not snapshots are on).
-        const CongestionMetrics round_cm = congestion_metrics(rg);
-        {
-          obs::Event e = obs::events().make(obs::EventKind::RouteRound);
-          e.i0 = round + 1;
-          e.i1 = ir.cells_inflated;
-          e.d0 = round_cm.total_overflow;
-          e.d1 = round_cm.rc;
-          e.d2 = ir.mean_inflation;
-          obs::events().emit(e);
-        }
         if (opt_.snapshot != nullptr) {
           opt_.snapshot->record_grid(stage, "inflation",
                                      inflation_map(prob, dens.grid()));
           SnapshotRoundRecord rr;
           rr.round = round + 1;
-          rr.congestion = round_cm;
+          rr.congestion = congestion_metrics(rg);
           rr.cells_inflated = ir.cells_inflated;
           rr.mean_inflation = ir.mean_inflation;
           opt_.snapshot->record_round(rr);

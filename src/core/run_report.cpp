@@ -255,9 +255,8 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
   for (const auto& [name, v] : reg.gauges()) w.kv(name, v);
   w.end_object();
 
-  // Event-bus totals. The count is deterministic (payloads are pure
-  // functions of the computation; only seq/timestamps are volatile), so
-  // check_progress.py cross-checks it against the NDJSON stream's final seq.
+  // Event-bus totals. The count is deterministic (one event per lifecycle
+  // or incident transition), so the golden report pins it.
   w.key("events").begin_object();
   w.kv("emitted", static_cast<std::int64_t>(obs_ctx.events().events_emitted()));
   w.kv("flight_capacity",

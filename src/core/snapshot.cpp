@@ -67,14 +67,6 @@ void SnapshotRecorder::record_grid(const std::string& stage, const std::string& 
                 sanitize(name).c_str());
   e.grid_rel = std::string(base) + ".grid";
   write_grid_bin(opt_.dir + "/" + e.grid_rel, g);
-  if (opt_.render_ppm) {
-    e.ppm_rel = std::string(base) + ".ppm";
-    write_grid_ppm(opt_.dir + "/" + e.ppm_rel, g);
-  }
-  if (opt_.render_svg) {
-    e.svg_rel = std::string(base) + ".svg";
-    write_grid_svg(opt_.dir + "/" + e.svg_rel, g);
-  }
   maps_.push_back(std::move(e));
 }
 
@@ -139,8 +131,6 @@ bool SnapshotRecorder::finalize(const std::vector<GpTracePoint>& gp_trace) {
     man.kv("stage", e.stage);
     man.kv("name", e.name);
     man.kv("grid", e.grid_rel);
-    if (!e.ppm_rel.empty()) man.kv("ppm", e.ppm_rel);
-    if (!e.svg_rel.empty()) man.kv("svg", e.svg_rel);
     man.kv("nx", e.nx);
     man.kv("ny", e.ny);
     man.kv("min", e.stats.min);

@@ -10,8 +10,8 @@
 //                              overflow, lambda, gamma, inflation) and one
 //                              record per routability round (ACE/RC,
 //                              overflow, cells inflated)
-//   <dir>/maps/NNN_<stage>_<name>.grid   compact binary grid (util/heatmap)
-//   <dir>/maps/NNN_<stage>_<name>.ppm    heat-ramp rendering (optional .svg)
+//   <dir>/maps/NNN_<stage>_<name>.grid   compact binary grid (util/heatmap);
+//                              scripts/render_report.py renders these
 //
 // Everything written is DETERMINISTIC — no wall-clock times, no absolute
 // paths — so two runs with the same seed produce byte-identical snapshot
@@ -33,10 +33,8 @@
 namespace rp {
 
 struct SnapshotOptions {
-  std::string dir;          ///< Empty: snapshots disabled.
-  bool render_ppm = true;   ///< Write a .ppm next to every .grid.
-  bool render_svg = false;  ///< Also write a .svg rendering.
-  int density_every = 0;    ///< >0: finest-level density map every N outers.
+  std::string dir;        ///< Empty: snapshots disabled.
+  int density_every = 0;  ///< >0: finest-level density map every N outers.
 };
 
 /// One routability round: the congestion picture that drove inflation.
@@ -59,8 +57,8 @@ class SnapshotRecorder {
   const SnapshotOptions& options() const { return opt_; }
 
   /// Capture a spatial map under `<stage>/<name>` ("round1"/"overflow", ...).
-  /// Writes the grid (and renderings) immediately; manifest entry is kept in
-  /// memory until finalize().
+  /// Writes the grid immediately; the manifest entry is kept in memory until
+  /// finalize().
   void record_grid(const std::string& stage, const std::string& name,
                    const Grid2D<double>& g);
 
@@ -79,7 +77,7 @@ class SnapshotRecorder {
   struct MapEntry {
     int seq = 0;
     std::string stage, name;
-    std::string grid_rel, ppm_rel, svg_rel;  ///< Paths relative to dir.
+    std::string grid_rel;  ///< Path relative to dir.
     int nx = 0, ny = 0;
     GridStats stats;
   };

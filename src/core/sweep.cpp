@@ -43,9 +43,9 @@ const std::set<std::string>& allowed_flags() {
 /// campaign layout (or bypass the seeds array).
 const std::set<std::string>& reserved_flags() {
   static const std::set<std::string> k = {
-      "out",          "report-json",    "trace-json", "progress-ndjson",
-      "flight-json",  "snapshot-dir",   "snapshot-every", "snapshot-svg",
-      "seed",         "help",           "map",
+      "out",          "report-json",    "trace-json", "flight-json",
+      "snapshot-dir", "snapshot-every", "seed",       "help",
+      "map",
   };
   return k;
 }
@@ -329,7 +329,6 @@ void write_run_entry(JsonWriter& w, const SweepRunResult& r) {
   w.kv("status", r.status);
   w.key("artifacts").begin_object();
   w.kv("report", r.has_report);
-  w.kv("progress", r.has_progress);
   w.kv("flight", r.has_flight);
   w.end_object();
   if (r.has_error) {
@@ -425,7 +424,6 @@ namespace {
 /// Fill a result's artifact/error fields from the run directory.
 void finalize_result(SweepRunResult& res, const fs::path& run_dir) {
   res.has_report = fs::exists(run_dir / "report.json");
-  res.has_progress = fs::exists(run_dir / "progress.ndjson");
   res.has_flight = fs::exists(run_dir / "flight.json");
   if (!res.has_report) return;
   bool ok = false;
@@ -459,7 +457,6 @@ pid_t spawn_run(const std::string& routplace, const SweepRun& run,
   };
   add("--out", run_dir / "out.pl");
   add("--report-json", run_dir / "report.json");
-  add("--progress-ndjson", run_dir / "progress.ndjson");
   add("--flight-json", run_dir / "flight.json");
   const std::string out_log = (run_dir / "stdout.log").string();
   const std::string err_log = (run_dir / "stderr.log").string();

@@ -26,7 +26,7 @@
 //
 //   <campaign>/campaign.json              manifest (schema "rp_campaign" v1)
 //   <campaign>/runs/<cell>__s<seed>/      one directory per run:
-//       out.pl report.json progress.ndjson flight.json (error exits)
+//       out.pl report.json flight.json (error exits)
 //       stdout.log stderr.log status.json
 //
 // FAILED RUNS ARE RECORDED, NEVER DROPPED: the manifest entry carries the
@@ -91,7 +91,6 @@ struct SweepRunResult {
   int exit_code = 0;
   std::string status;  ///< sweep_status_name(exit_code).
   bool has_report = false;
-  bool has_progress = false;
   bool has_flight = false;
   bool has_error = false;  ///< Report carried an "error" block:
   std::string error_code, error_message, error_where, error_stage;

@@ -288,7 +288,7 @@ Design generate_benchmark(const BenchmarkSpec& spec) {
   };
 
   for (int n = 0; n < num_nets; ++n) {
-    const NetId net = d.add_net("n" + std::to_string(n));
+    const NetId net = d.add_net('n' + std::to_string(n));
     const int k = sample_degree(spec, rng);
     const int anchor = static_cast<int>(rng.below(static_cast<std::uint64_t>(num_std)));
     int begin = 0, end = num_std;

@@ -6,9 +6,9 @@
 // (one command line, wrapped here for width)
 //
 // Expands the spec's configuration × seed grid, fans runs out across child
-// processes (at most --jobs concurrent), captures every run's report /
-// progress stream / flight dump into <out>/runs/<id>/, and
-// writes the deterministic <out>/campaign.json manifest. Re-running a
+// processes (at most --jobs concurrent), captures every run's report and
+// flight dump into <out>/runs/<id>/, and writes the deterministic
+// <out>/campaign.json manifest. Re-running a
 // finished campaign directory is a no-op (resume via per-run status.json).
 // All logic lives in core/sweep.{hpp,cpp} so it is unit-tested.
 //

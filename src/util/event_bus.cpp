@@ -1,7 +1,6 @@
 #include "util/event_bus.hpp"
 
 #include <cerrno>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -23,8 +22,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::RunEnd: return "run_end";
     case EventKind::StageBegin: return "stage_begin";
     case EventKind::StageEnd: return "stage_end";
-    case EventKind::GpIter: return "gp_iter";
-    case EventKind::RouteRound: return "route_round";
     case EventKind::Watchdog: return "watchdog";
     case EventKind::Guard: return "guard";
     case EventKind::ParseRepair: return "parse_repair";
@@ -43,118 +40,9 @@ void Event::set_label(const char* s) {
   label[i] = '\0';
 }
 
-// ------------------------------------------------------------------ NDJSON
-
-namespace {
-
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";  // JSON cannot encode NaN/Inf; mirror JsonWriter.
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_kv_i(std::string& out, const char* key, std::int64_t v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  out += buf;
-}
-
-void append_kv_d(std::string& out, const char* key, double v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  append_double(out, v);
-}
-
-void append_kv_s(std::string& out, const char* key, const char* v) {
-  out += ",\"";
-  out += key;
-  out += "\":\"";
-  // Labels are ASCII tags by construction; escape the two dangerous chars
-  // anyway so a hostile design name cannot corrupt the stream.
-  for (const char* p = v; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out += '\\';
-    if (static_cast<unsigned char>(*p) >= 0x20) out += *p;
-  }
-  out += '"';
-}
-
-}  // namespace
-
-std::string event_ndjson(const Event& e) {
-  std::string out;
-  out.reserve(256);
-  out += "{\"schema\":\"rp_progress\",\"v\":1";
-  append_kv_i(out, "seq", static_cast<std::int64_t>(e.seq));
-  out += ",\"t_ms\":";
-  append_double(out, static_cast<double>(e.t_ns) / 1e6);
-  append_kv_s(out, "event", event_kind_name(e.kind));
-  switch (e.kind) {
-    case EventKind::RunBegin:
-      append_kv_s(out, "design", e.label);
-      append_kv_i(out, "cells", e.i0);
-      append_kv_i(out, "nets", e.i1);
-      append_kv_i(out, "macros", e.i2);
-      break;
-    case EventKind::RunEnd:
-      append_kv_d(out, "hpwl", e.d0);
-      append_kv_d(out, "scaled_hpwl", e.d1);
-      append_kv_d(out, "overflow", e.d2);
-      append_kv_i(out, "legal", e.i0);
-      break;
-    case EventKind::StageBegin:
-    case EventKind::StageEnd:
-      append_kv_s(out, "stage", e.label);
-      break;
-    case EventKind::GpIter:
-      append_kv_s(out, "tag", e.label);
-      append_kv_i(out, "level", e.i0);
-      append_kv_i(out, "outer", e.i1);
-      append_kv_d(out, "hpwl", e.d0);
-      append_kv_d(out, "overflow", e.d1);
-      append_kv_d(out, "lambda", e.d2);
-      append_kv_d(out, "inflation", e.d3);
-      break;
-    case EventKind::RouteRound:
-      append_kv_i(out, "round", e.i0);
-      append_kv_i(out, "cells_inflated", e.i1);
-      append_kv_d(out, "overflow", e.d0);
-      append_kv_d(out, "rc", e.d1);
-      append_kv_d(out, "mean_inflation", e.d2);
-      break;
-    case EventKind::Watchdog:
-      append_kv_s(out, "watchdog", e.label);
-      append_kv_d(out, "limit", e.d0);
-      break;
-    case EventKind::Guard:
-      append_kv_s(out, "guard", e.label);
-      append_kv_i(out, "count", e.i0);
-      break;
-    case EventKind::ParseRepair:
-      append_kv_s(out, "mode", e.label);
-      append_kv_i(out, "total", e.i0);
-      break;
-    case EventKind::RunError:
-      append_kv_s(out, "code", e.label);
-      append_kv_i(out, "exit_code", e.i0);
-      break;
-  }
-  out += '}';
-  return out;
-}
-
 // --------------------------------------------------------------------- bus
 
 EventBus::EventBus() : epoch_ns_(profiler::now_ns()) {}
-
-EventBus::~EventBus() { close_stream(); }
 
 Event EventBus::make(EventKind kind, const char* label) const {
   Event e;
@@ -165,13 +53,12 @@ Event EventBus::make(EventKind kind, const char* label) const {
 
 bool write_all_fd(int fd, const char* data, std::size_t n) {
 #ifdef RP_OBS_POSIX
-  // The sink fds here are pipes, sockets and regular files shared with slow
-  // readers (a tailing dashboard, a campaign parent): short writes are
-  // ROUTINE once a line straddles the pipe/socket buffer boundary, and any
-  // signal (SIGCHLD from a campaign child, a profiler timer) can abort the
-  // write with EINTR before OR after a partial transfer. Loop until the
-  // whole buffer is out; only a real error (EPIPE on a vanished reader,
-  // EBADF) fails the write. Async-signal-safe: write() + errno only.
+  // The sink fd may be a pipe or socket with a slow reader, where short
+  // writes are ROUTINE once a buffer straddles the pipe/socket buffer
+  // boundary, and any signal (SIGCHLD from a campaign child, a timer) can
+  // abort the write with EINTR before OR after a partial transfer. Loop
+  // until the whole buffer is out; only a real error (EPIPE on a vanished
+  // reader, EBADF) fails the write. Async-signal-safe: write() + errno only.
   while (n > 0) {
     const ssize_t w = ::write(fd, data, n);
     if (w < 0) {
@@ -191,14 +78,6 @@ bool write_all_fd(int fd, const char* data, std::size_t n) {
 #endif
 }
 
-namespace {
-
-bool write_all(int fd, const char* data, std::size_t n) {
-  return write_all_fd(fd, data, n);
-}
-
-}  // namespace
-
 void EventBus::emit(Event e) {
   const std::uint64_t seq = seq_.load(std::memory_order_relaxed);
   e.seq = seq;
@@ -207,54 +86,6 @@ void EventBus::emit(Event e) {
   // store sequence reads head=seq and never looks at the in-progress slot.
   ring_[seq % kFlightCapacity] = e;
   seq_.store(seq + 1, std::memory_order_release);
-  if (stream_fd_ >= 0) {
-    std::string line = event_ndjson(e);
-    line += '\n';
-    if (!write_all(stream_fd_, line.data(), line.size())) {
-      RP_WARN("event bus: progress stream write failed; closing stream");
-      close_stream();
-    }
-  }
-}
-
-bool EventBus::open_stream(const std::string& target) {
-  close_stream();
-  if (target.empty()) return false;
-  if (target == "-") {
-    stream_fd_ = 1;
-    close_stream_fd_ = false;
-    return true;
-  }
-  if (target.rfind("fd:", 0) == 0) {
-    // Only decimal digits that fit in an int: "fd:", "fd:abc", "fd:3x" and
-    // "fd:-1" are rejected, never read as some other descriptor (stdin).
-    const char* first = target.data() + 3;
-    const char* last = target.data() + target.size();
-    int fd = -1;
-    if (first == last || *first < '0' || *first > '9') return false;
-    const auto [end, ec] = std::from_chars(first, last, fd);
-    if (ec != std::errc() || end != last) return false;
-    stream_fd_ = fd;
-    close_stream_fd_ = false;
-    return true;
-  }
-#ifdef RP_OBS_POSIX
-  const int fd = ::open(target.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  stream_fd_ = fd;
-  close_stream_fd_ = true;
-  return true;
-#else
-  return false;
-#endif
-}
-
-void EventBus::close_stream() {
-#ifdef RP_OBS_POSIX
-  if (stream_fd_ >= 0 && close_stream_fd_) ::close(stream_fd_);
-#endif
-  stream_fd_ = -1;
-  close_stream_fd_ = false;
 }
 
 int EventBus::flight_events(Event* out, int max) const {
@@ -282,7 +113,7 @@ struct SafeWriter {
 
   explicit SafeWriter(int f) : fd(f) {}
   void flush() {
-    if (len > 0 && ok) ok = write_all(fd, buf, len);
+    if (len > 0 && ok) ok = write_all_fd(fd, buf, len);
     len = 0;
   }
   void put_char(char c) {

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <limits>
 
 #include "util/logger.hpp"
 
@@ -25,16 +25,6 @@ bool write_file(const std::string& path, const std::string& bytes) {
   std::fclose(f);
   if (!ok) RP_ERROR("heatmap: short write to '%s'", path.c_str());
   return ok;
-}
-
-/// Normalization range: the caller's [lo, hi] when valid, else the grid's
-/// finite value range (degenerate ranges render as a flat map).
-void norm_range(const Grid2D<double>& g, double& lo, double& hi) {
-  if (hi > lo) return;
-  const GridStats s = grid_stats(g);
-  lo = s.min;
-  hi = s.max;
-  if (hi <= lo) hi = lo + 1.0;
 }
 
 }  // namespace
@@ -85,8 +75,13 @@ bool grid_from_bytes(const std::string& bytes, Grid2D<double>& out) {
   std::uint32_t nx = 0, ny = 0;
   std::memcpy(&nx, bytes.data() + sizeof kMagic, sizeof nx);
   std::memcpy(&ny, bytes.data() + sizeof kMagic + sizeof nx, sizeof ny);
+  // Both dims must fit Grid2D's int. The payload is checked by dividing it
+  // down to a cell count, since nx*ny*8 can wrap size_t.
+  constexpr auto kMaxDim = static_cast<std::uint32_t>(std::numeric_limits<int>::max());
+  if (nx > kMaxDim || ny > kMaxDim) return false;
   const std::size_t cells = static_cast<std::size_t>(nx) * ny;
-  if (bytes.size() != header + cells * sizeof(double)) return false;
+  const std::size_t payload = bytes.size() - header;
+  if (payload % sizeof(double) != 0 || payload / sizeof(double) != cells) return false;
   out = Grid2D<double>(static_cast<int>(nx), static_cast<int>(ny));
   if (cells > 0)
     std::memcpy(out.data().data(), bytes.data() + header, cells * sizeof(double));
@@ -106,90 +101,6 @@ bool read_grid_bin(const std::string& path, Grid2D<double>& out) {
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
   std::fclose(f);
   return grid_from_bytes(bytes, out);
-}
-
-void heat_color(double t, unsigned char rgb[3]) {
-  if (!std::isfinite(t)) t = 1.0;  // non-finite cells render as hottest
-  t = std::clamp(t, 0.0, 1.0);
-  // 5-stop linear ramp; stops chosen so 0 is clearly "cold" and anything
-  // near/over 1 reads as a hotspot.
-  static constexpr double stops[5][3] = {
-      {20, 24, 82},    // deep blue
-      {0, 130, 200},   // cyan-blue
-      {10, 180, 110},  // green
-      {245, 205, 45},  // yellow
-      {225, 35, 35},   // red
-  };
-  const double s = t * 4.0;
-  const int i = std::min(3, static_cast<int>(s));
-  const double f = s - i;
-  for (int c = 0; c < 3; ++c) {
-    const double v = stops[i][c] + f * (stops[i + 1][c] - stops[i][c]);
-    rgb[c] = static_cast<unsigned char>(std::lround(v));
-  }
-}
-
-std::string grid_to_ppm(const Grid2D<double>& g, double lo, double hi, int px_scale) {
-  norm_range(g, lo, hi);
-  if (px_scale <= 0)
-    px_scale = std::clamp(512 / std::max(1, std::max(g.nx(), g.ny())), 1, 16);
-  const int w = g.nx() * px_scale, h = g.ny() * px_scale;
-  std::string out = "P6\n" + std::to_string(w) + " " + std::to_string(h) + "\n255\n";
-  out.reserve(out.size() + static_cast<std::size_t>(w) * h * 3);
-  for (int py = 0; py < h; ++py) {
-    const int iy = g.ny() - 1 - py / px_scale;  // top row = highest y
-    for (int ix = 0; ix < g.nx(); ++ix) {
-      unsigned char rgb[3];
-      heat_color((g(ix, iy) - lo) / (hi - lo), rgb);
-      for (int r = 0; r < px_scale; ++r)
-        out.append(reinterpret_cast<const char*>(rgb), 3);
-    }
-  }
-  return out;
-}
-
-bool write_grid_ppm(const std::string& path, const Grid2D<double>& g, double lo,
-                    double hi) {
-  return write_file(path, grid_to_ppm(g, lo, hi));
-}
-
-std::string grid_to_svg(const Grid2D<double>& g, double lo, double hi, int max_cells) {
-  norm_range(g, lo, hi);
-  // Max-pool down to at most max_cells per side so hotspots survive
-  // downsampling (mean-pooling would wash them out).
-  const int step = std::max(1, (std::max(g.nx(), g.ny()) + max_cells - 1) / max_cells);
-  const int cnx = (g.nx() + step - 1) / step, cny = (g.ny() + step - 1) / step;
-  const int cell = std::clamp(480 / std::max(cnx, cny), 2, 16);
-  std::ostringstream os;
-  os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << cnx * cell
-     << "\" height=\"" << cny * cell << "\">\n";
-  char buf[160];
-  for (int cy = 0; cy < cny; ++cy) {
-    for (int cx = 0; cx < cnx; ++cx) {
-      double v = -1e300;
-      for (int dy = 0; dy < step; ++dy)
-        for (int dx = 0; dx < step; ++dx) {
-          const int ix = cx * step + dx, iy = cy * step + dy;
-          if (ix < g.nx() && iy < g.ny()) v = std::max(v, g(ix, iy));
-        }
-      unsigned char rgb[3];
-      heat_color((v - lo) / (hi - lo), rgb);
-      // SVG y grows downward; flip so the die's +y is up.
-      std::snprintf(buf, sizeof buf,
-                    "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" "
-                    "fill=\"#%02x%02x%02x\"/>\n",
-                    cx * cell, (cny - 1 - cy) * cell, cell, cell, rgb[0], rgb[1],
-                    rgb[2]);
-      os << buf;
-    }
-  }
-  os << "</svg>\n";
-  return os.str();
-}
-
-bool write_grid_svg(const std::string& path, const Grid2D<double>& g, double lo,
-                    double hi) {
-  return write_file(path, grid_to_svg(g, lo, hi));
 }
 
 }  // namespace rp

@@ -1,18 +1,15 @@
 #pragma once
 // Spatial-map serialization for the snapshot subsystem.
 //
-// Three interchangeable views of a Grid2D<double>:
-//  * a compact binary grid file ("RPG1": magic, uint32 nx/ny, float64
-//    row-major payload) — the byte-exact form the determinism tests and
-//    rp_report_diff compare;
-//  * a P6 PPM rendering through a fixed blue→green→yellow→red heat ramp,
-//    viewable in any image tool;
-//  * an SVG rendering (downsampled rect raster) for embedding in reports.
+// A snapshot map is one compact binary grid file ("RPG1": magic, uint32
+// nx/ny, float64 row-major payload) — the byte-exact form the determinism
+// tests and rp_report_diff compare, and the one scripts/render_report.py
+// turns into images.
 //
-// All writers are deterministic: same grid in, same bytes out. The binary
-// format stores doubles in host byte order (the toolchain targets
-// little-endian; the reader asserts the magic so a foreign-endian file is
-// rejected rather than misread).
+// The writer is deterministic: same grid in, same bytes out. The format
+// stores doubles in host byte order (the toolchain targets little-endian;
+// the reader asserts the magic so a foreign-endian file is rejected rather
+// than misread).
 
 #include <string>
 
@@ -35,31 +32,11 @@ GridStats grid_stats(const Grid2D<double>& g);
 
 /// Serialize to the "RPG1" binary layout.
 std::string grid_to_bytes(const Grid2D<double>& g);
-/// Parse grid_to_bytes() output; returns false on bad magic/size.
+/// Parse grid_to_bytes() output; returns false on bad magic/size, or on dims
+/// an int cannot hold.
 bool grid_from_bytes(const std::string& bytes, Grid2D<double>& out);
 
 bool write_grid_bin(const std::string& path, const Grid2D<double>& g);
 bool read_grid_bin(const std::string& path, Grid2D<double>& out);
-
-// ---- renderings ----
-
-/// Heat-ramp color for t in [0,1] (clamped): dark blue → cyan → green →
-/// yellow → red. Shared by the PPM and SVG writers.
-void heat_color(double t, unsigned char rgb[3]);
-
-/// P6 PPM rendering. Values are normalized by [lo, hi] (hi <= lo falls back
-/// to the grid's own finite range); each bin becomes a px_scale × px_scale
-/// block, row iy = ny-1 on top (die orientation).
-std::string grid_to_ppm(const Grid2D<double>& g, double lo = 0.0, double hi = 0.0,
-                        int px_scale = 0);
-bool write_grid_ppm(const std::string& path, const Grid2D<double>& g, double lo = 0.0,
-                    double hi = 0.0);
-
-/// SVG rendering (one rect per bin after max-pooling down to at most
-/// max_cells bins per side).
-std::string grid_to_svg(const Grid2D<double>& g, double lo = 0.0, double hi = 0.0,
-                        int max_cells = 96);
-bool write_grid_svg(const std::string& path, const Grid2D<double>& g, double lo = 0.0,
-                    double hi = 0.0);
 
 }  // namespace rp

@@ -5,7 +5,7 @@
 //   ObsContext
 //    ├── telemetry::Registry    counters + gauges   (RP_COUNT / RP_GAUGE)
 //    ├── telemetry::TraceBuffer Chrome-trace spans  (RP_TRACE_SPAN)
-//    └── obs::EventBus          typed events, NDJSON stream, flight recorder
+//    └── obs::EventBus          lifecycle events, flight recorder
 //
 // Every flow run owns a context: the caller's (FlowOptions::obs), or a fresh
 // one the run makes, returned in FlowResult::obs. So two runs in one process

@@ -49,6 +49,8 @@ TEST(Cli, RejectsUnknownOption) {
   // Retired options are unknown too (main() maps the throw to exit 2).
   EXPECT_THROW(parse_cli_args({"--sample-resources", "5"}), std::runtime_error);
   EXPECT_THROW(parse_cli_args({"--profile"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--progress-ndjson", "x"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--snapshot-svg"}), std::runtime_error);
 }
 
 TEST(Cli, RejectsMissingValue) {
@@ -149,19 +151,16 @@ TEST(Cli, ParsesTelemetryOutputFlags) {
 
 TEST(Cli, ParsesSnapshotFlags) {
   const CliConfig c = parse_cli_args(
-      {"--snapshot-dir", "snaps", "--snapshot-every", "4", "--snapshot-svg"});
+      {"--snapshot-dir", "snaps", "--snapshot-every", "4"});
   EXPECT_EQ(c.snapshot_dir, "snaps");
   EXPECT_EQ(c.snapshot_every, 4);
-  EXPECT_TRUE(c.snapshot_svg);
   const FlowOptions opt = cli_flow_options(c);
   EXPECT_EQ(opt.snapshot.dir, "snaps");
   EXPECT_EQ(opt.snapshot.density_every, 4);
-  EXPECT_TRUE(opt.snapshot.render_svg);
   // Default: snapshots disabled.
   EXPECT_TRUE(cli_flow_options(parse_cli_args({})).snapshot.dir.empty());
-  // Modifier flags without --snapshot-dir are configuration errors.
+  // --snapshot-every without --snapshot-dir is a configuration error.
   EXPECT_THROW(parse_cli_args({"--snapshot-every", "2"}), std::runtime_error);
-  EXPECT_THROW(parse_cli_args({"--snapshot-svg"}), std::runtime_error);
   EXPECT_THROW(parse_cli_args({"--snapshot-dir", "d", "--snapshot-every", "-1"}),
                std::runtime_error);
   EXPECT_NE(cli_usage().find("--snapshot-dir"), std::string::npos);

@@ -113,7 +113,7 @@ Design channel_design(double channel_w) {
   for (int r = 0; r < 20; ++r) d.add_row(Row{r * 10.0, 10, 0, 200, 1});
   const double mw = (200 - channel_w) / 2;
   for (int i = 0; i < 2; ++i) {
-    const CellId m = d.add_cell("m" + std::to_string(i), mw, 80, CellKind::Macro);
+    const CellId m = d.add_cell('m' + std::to_string(i), mw, 80, CellKind::Macro);
     d.cell(m).fixed = true;
     d.cell(m).pos = {i == 0 ? 0.0 : mw + channel_w, 0};  // flush to the bottom
   }

@@ -38,14 +38,14 @@ TEST_F(EdgeTest, SinglePinAndEmptyishNetsSurviveFlow) {
   d.set_die({0, 0, 200, 100});
   for (int r = 0; r < 10; ++r) d.add_row(Row{r * 10.0, 10, 0, 200, 1});
   // 30 cells; net 0 has a single pin, net 1 connects the same cell twice.
-  for (int i = 0; i < 30; ++i) d.add_cell("c" + std::to_string(i), 4, 10);
+  for (int i = 0; i < 30; ++i) d.add_cell('c' + std::to_string(i), 4, 10);
   const NetId lonely = d.add_net("lonely");
   d.connect(0, lonely);
   const NetId doubled = d.add_net("doubled");
   d.connect(1, doubled, {-1, 0});
   d.connect(1, doubled, {1, 0});
   for (int i = 0; i < 28; ++i) {
-    const NetId n = d.add_net("n" + std::to_string(i));
+    const NetId n = d.add_net('n' + std::to_string(i));
     d.connect(i, n);
     d.connect(i + 2, n);
   }
@@ -68,7 +68,7 @@ TEST_F(EdgeTest, HugeNetRoutesViaChainTopology) {
   const NetId n = d.add_net("clk");
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
-    const CellId c = d.add_cell("c" + std::to_string(i), 1, 10);
+    const CellId c = d.add_cell('c' + std::to_string(i), 1, 10);
     d.cell(c).pos = {rng.uniform(0, 399), 0};
     d.connect(c, n);
   }
@@ -95,7 +95,7 @@ Design packed_fixture(int cells_per_row) {
   for (int r = 0; r < 10; ++r) d.add_row(Row{r * 10.0, 10, 0, 100, 1});
   Rng rng(9);
   for (int i = 0; i < 10 * cells_per_row; ++i) {
-    const CellId c = d.add_cell("c" + std::to_string(i), 10, 10);
+    const CellId c = d.add_cell('c' + std::to_string(i), 10, 10);
     d.cell(c).pos = {rng.uniform(0, 90), rng.uniform(0, 90)};
   }
   d.add_net("n");
@@ -133,7 +133,7 @@ TEST_F(EdgeTest, AbacusSingleRowMatchesBruteForceOrder) {
   Rng rng(17);
   const int n = 12;
   for (int i = 0; i < n; ++i) {
-    const CellId c = d.add_cell("c" + std::to_string(i), 6, 10);
+    const CellId c = d.add_cell('c' + std::to_string(i), 6, 10);
     d.cell(c).pos = {rng.uniform(0, 94), 0};
   }
   d.add_net("n");
@@ -341,11 +341,11 @@ TEST_F(EdgeTest, FlowOnAllFixedMacrosDesign) {
   Rng rng(31);
   const int base = d.num_cells();
   for (int i = 0; i < 120; ++i) {
-    const CellId c = d.add_cell("c" + std::to_string(i), 4, 10);
+    const CellId c = d.add_cell('c' + std::to_string(i), 4, 10);
     d.cell(c).pos = {rng.uniform(0, 196), rng.uniform(0, 190)};
   }
   for (int i = 0; i < 100; ++i) {
-    const NetId n = d.add_net("n" + std::to_string(i));
+    const NetId n = d.add_net('n' + std::to_string(i));
     d.connect(base + i, n);
     d.connect(base + ((i + 7) % 120), n);
   }

@@ -144,7 +144,7 @@ TEST_P(LegalizerP, SmallDisplacementWhenAlreadySpread) {
   int id = 0;
   for (int r = 0; r < 4; ++r)
     for (int i = 0; i < 10; ++i) {
-      const CellId c = d.add_cell("c" + std::to_string(id++), 8, 10);
+      const CellId c = d.add_cell('c' + std::to_string(id++), 8, 10);
       d.cell(c).pos = {i * 16.0 + 0.3, r * 10.0 + 0.4};  // slightly off-grid
     }
   d.add_net("n");
@@ -162,7 +162,7 @@ TEST_P(LegalizerP, HandlesOverfullRegionByOverflowing) {
   d.set_die({0, 0, 100, 50});
   for (int r = 0; r < 5; ++r) d.add_row(Row{r * 10.0, 10, 0, 100, 1});
   for (int i = 0; i < 40; ++i) {
-    const CellId c = d.add_cell("c" + std::to_string(i), 10, 10);
+    const CellId c = d.add_cell('c' + std::to_string(i), 10, 10);
     d.cell(c).pos = {1.0 + 0.01 * i, 1.0};
   }
   d.add_net("n");
@@ -182,12 +182,12 @@ TEST_P(LegalizerP, RespectsFenceRegions) {
   reg.rects.push_back(Rect{0, 0, 50, 20});
   const int rid = d.add_region(std::move(reg));
   for (int i = 0; i < 8; ++i) {
-    const CellId c = d.add_cell("f" + std::to_string(i), 8, 10);
+    const CellId c = d.add_cell('f' + std::to_string(i), 8, 10);
     d.set_region(c, rid);
     d.cell(c).pos = {80.0, 30.0};  // start OUTSIDE the fence
   }
   for (int i = 0; i < 8; ++i) {
-    const CellId c = d.add_cell("u" + std::to_string(i), 8, 10);
+    const CellId c = d.add_cell('u' + std::to_string(i), 8, 10);
     d.cell(c).pos = {40.0 + i, 15.0};
   }
   d.add_net("n");
@@ -207,7 +207,7 @@ TEST_P(LegalizerP, AvoidsFixedObstacles) {
   d.cell(m).fixed = true;
   d.cell(m).pos = {30, 0};  // center block
   for (int i = 0; i < 10; ++i) {
-    const CellId c = d.add_cell("c" + std::to_string(i), 8, 10);
+    const CellId c = d.add_cell('c' + std::to_string(i), 8, 10);
     d.cell(c).pos = {45.0, 10.0};  // inside the obstacle
   }
   d.add_net("n");
@@ -241,7 +241,7 @@ TEST_F(LegalTest, MacroLegalizerRemovesOverlap) {
   d.set_die({0, 0, 200, 200});
   for (int r = 0; r < 20; ++r) d.add_row(Row{r * 10.0, 10, 0, 200, 1});
   for (int i = 0; i < 4; ++i) {
-    const CellId m = d.add_cell("m" + std::to_string(i), 50, 50, CellKind::Macro);
+    const CellId m = d.add_cell('m' + std::to_string(i), 50, 50, CellKind::Macro);
     d.cell(m).pos = {70, 70};  // all piled at the center
   }
   d.add_cell("a", 5, 10);

@@ -213,9 +213,9 @@ TEST_F(RouteTest, RouterDetoursAroundOverflow) {
   d.set_die({0, 0, 100, 100});
   d.add_row(Row{0, 10, 0, 100, 1});
   for (int i = 0; i < 6; ++i) {
-    const CellId a = d.add_cell("a" + std::to_string(i), 2, 2);
-    const CellId b = d.add_cell("b" + std::to_string(i), 2, 2);
-    const NetId n = d.add_net("n" + std::to_string(i));
+    const CellId a = d.add_cell('a' + std::to_string(i), 2, 2);
+    const CellId b = d.add_cell('b' + std::to_string(i), 2, 2);
+    const NetId n = d.add_net('n' + std::to_string(i));
     d.connect(a, n);
     d.connect(b, n);
     d.set_center(a, {5, 55});
@@ -310,9 +310,9 @@ TEST_F(RouteTest, RouterTiesPinned) {
   d.add_row(Row{0, 10, 0, 160, 1});
   Rng rng(11);
   for (int i = 0; i < 400; ++i) {
-    const NetId n = d.add_net("n" + std::to_string(i));
+    const NetId n = d.add_net('n' + std::to_string(i));
     for (int k = 0; k < 2 + i % 3; ++k) {
-      const CellId c = d.add_cell("c" + std::to_string(i) + "_" + std::to_string(k), 2, 2);
+      const CellId c = d.add_cell('c' + std::to_string(i) + "_" + std::to_string(k), 2, 2);
       d.connect(c, n);
       d.set_center(c, {static_cast<double>(5 + 10 * rng.below(16)),
                        static_cast<double>(5 + 10 * rng.below(16))});

@@ -85,6 +85,8 @@ TEST(SweepSpecParse, IllegalSpecsAreValidationErrors) {
   // Retired placer flags are unknown too.
   EXPECT_EQ(thrown_exit_code(R"({"base": {"sample-resources": 5}})"), 4);
   EXPECT_EQ(thrown_exit_code(R"({"base": {"profile": true}})"), 4);
+  EXPECT_EQ(thrown_exit_code(R"({"base": {"snapshot-svg": true}})"), 4);
+  EXPECT_EQ(thrown_exit_code(R"({"base": {"progress-ndjson": "p"}})"), 4);
   // Empty axis, duplicate seeds, negative seed.
   EXPECT_EQ(thrown_exit_code(R"({"axes": {"mode": []}})"), 4);
   EXPECT_EQ(thrown_exit_code(R"({"seeds": [1, 1]})"), 4);
@@ -172,7 +174,7 @@ std::vector<SweepRunResult> fake_results(const SweepSpec& spec) {
     r.run = run;
     r.exit_code = 0;
     r.status = "ok";
-    r.has_report = r.has_progress = true;
+    r.has_report = true;
     results.push_back(std::move(r));
   }
   return results;
