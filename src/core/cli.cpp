@@ -46,8 +46,9 @@ std::string cli_usage() {
       "                          (default: the mode's preset, WA)\n"
       "  --inflate-rate <f>      per-round cell inflation step for congested\n"
       "                          bins (default: the mode's preset, 0.45)\n"
-      "  --threads <n>           worker threads for the hot kernels (0 = auto:\n"
-      "                          RP_THREADS env, else hardware concurrency);\n"
+      "  --threads <n>           worker threads for the hot kernels, at most\n"
+      "                          1024 (0 = auto: RP_THREADS env, else hardware\n"
+      "                          concurrency);\n"
       "                          results are identical for every thread count\n"
       "  --simd <level>          auto (default) | off | avx2 | neon — vector\n"
       "                          instruction level for the wirelength/density/\n"
@@ -176,8 +177,9 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
     throw std::runtime_error("--wl-model must be 'WA' or 'LSE'");
   if (cfg.inflate_rate != -1.0 && (cfg.inflate_rate < 0 || cfg.inflate_rate > 10.0))
     throw std::runtime_error("--inflate-rate must be in [0, 10]");
-  if (cfg.threads < 0)
-    throw std::runtime_error("--threads must be >= 0 (0 = auto)");
+  if (cfg.threads < 0 || cfg.threads > parallel::kMaxThreads)
+    throw std::runtime_error("--threads must be in [0, " +
+                             std::to_string(parallel::kMaxThreads) + "] (0 = auto)");
   if (!cfg.simd.empty()) {
     bool recognized = false;
     simd::resolve(cfg.simd, &recognized);

@@ -188,8 +188,13 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kJsonMaxDepth) fail("nesting too deep");
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.kind = JsonValue::Kind::String;
@@ -339,6 +344,7 @@ class Parser {
 
   std::string_view t_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -89,8 +89,14 @@ struct JsonValue {
   const JsonValue& at(const std::string& k) const;
 };
 
+/// Deepest array/object nesting json_parse accepts. The parser recurses once
+/// per level, so an unbounded run of '[' would overflow the stack; the
+/// documents this project writes nest a handful of levels.
+inline constexpr int kJsonMaxDepth = 512;
+
 /// Parse a complete JSON document. Throws std::runtime_error with a byte
-/// offset on malformed input or trailing garbage.
+/// offset on malformed input, trailing garbage or nesting deeper than
+/// kJsonMaxDepth.
 JsonValue json_parse(std::string_view text);
 
 }  // namespace rp

@@ -32,9 +32,11 @@ int hardware_threads() {
 
 int resolve_threads(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("RP_THREADS"); env != nullptr && env[0] != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<int>(v);
+  if (const char* env = std::getenv("RP_THREADS"); env != nullptr) {
+    int v = 0;
+    const char* p = env;
+    for (; *p >= '0' && *p <= '9' && v <= kMaxThreads; ++p) v = v * 10 + (*p - '0');
+    if (p != env && *p == '\0' && v >= 1 && v <= kMaxThreads) return v;
   }
   return hardware_threads();
 }

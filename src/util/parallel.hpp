@@ -64,8 +64,12 @@ ChunkPlan plan_chunks(std::size_t n, std::size_t grain, int max_chunks = kDefaul
 /// Number of hardware threads (>= 1).
 int hardware_threads();
 
+/// Most threads --threads or RP_THREADS may ask for. The pool starts one OS
+/// thread per extra worker, so a larger count is a typo, not a request.
+inline constexpr int kMaxThreads = 1024;
+
 /// Resolve an effective thread count: requested > 0 wins, else RP_THREADS
-/// env (if a positive integer), else hardware_threads().
+/// env (if wholly digits in 1..kMaxThreads), else hardware_threads().
 int resolve_threads(int requested);
 
 /// Set the global pool size (clamped to >= 1). Joins/respawns workers.

@@ -13,6 +13,7 @@
 #include "gen/generator.hpp"
 #include "util/json.hpp"
 #include "util/logger.hpp"
+#include "util/parallel.hpp"
 
 namespace rp {
 namespace {
@@ -135,6 +136,11 @@ TEST(Cli, ParsesThreadsFlag) {
   EXPECT_THROW(parse_cli_args({"--threads", "-2"}), std::runtime_error);
   EXPECT_THROW(parse_cli_args({"--threads"}), std::runtime_error);
   EXPECT_THROW(parse_cli_args({"--threads", "two"}), std::runtime_error);
+  // Above the ceiling is a usage error; nothing here starts a pool.
+  EXPECT_EQ(parse_cli_args({"--threads", "1024"}).threads, parallel::kMaxThreads);
+  EXPECT_THROW(parse_cli_args({"--threads", "1025"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--threads", "99999999999"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--threads", "4abc"}), std::runtime_error);
   EXPECT_NE(cli_usage().find("--threads"), std::string::npos);
 }
 

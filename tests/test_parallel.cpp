@@ -10,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,6 +37,27 @@ struct PoolGuard {
   int saved = parallel::num_threads();
   ~PoolGuard() { parallel::set_num_threads(saved); }
 };
+
+TEST(ResolveThreads, ReadsOnlyWellFormedEnv) {
+  // Resolution only: no pool of any of these sizes is started.
+  const char* saved = std::getenv("RP_THREADS");
+  const bool had = saved != nullptr;
+  const std::string restore = had ? saved : "";
+  const int hw = parallel::hardware_threads();
+  EXPECT_EQ(parallel::resolve_threads(3), 3);  // an explicit request wins
+  for (const char* ok : {"1", "8", "1024"}) {
+    setenv("RP_THREADS", ok, 1);
+    EXPECT_EQ(parallel::resolve_threads(0), std::atoi(ok)) << ok;
+  }
+  for (const char* bad : {"", "0", "-5", " 5", "5abc", "+5", "1025",
+                          "99999999999", "abc"}) {
+    setenv("RP_THREADS", bad, 1);
+    EXPECT_EQ(parallel::resolve_threads(0), hw) << "'" << bad << "'";
+  }
+  unsetenv("RP_THREADS");
+  EXPECT_EQ(parallel::resolve_threads(0), hw);
+  if (had) setenv("RP_THREADS", restore.c_str(), 1);
+}
 
 TEST(ChunkPlan, CoversRangeWithoutOverlap) {
   for (const std::size_t n : {0UL, 1UL, 7UL, 64UL, 1000UL, 123457UL}) {

@@ -339,6 +339,12 @@ TEST(Json, ParserRejectsMalformedInput) {
   EXPECT_THROW(json_parse("[1,2] trailing"), std::runtime_error);
   EXPECT_THROW(json_parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(json_parse("nul"), std::runtime_error);
+  // Unbounded nesting is an error, not a stack overflow.
+  EXPECT_THROW(json_parse(std::string(100000, '[')), std::runtime_error);
+  const std::string at_cap = std::string(kJsonMaxDepth, '[') +
+                             std::string(kJsonMaxDepth, ']');
+  EXPECT_NO_THROW(json_parse(at_cap));
+  EXPECT_THROW(json_parse("[" + at_cap + "]"), std::runtime_error);
 }
 
 TEST(Json, ParserHandlesUnicodeEscapes) {
