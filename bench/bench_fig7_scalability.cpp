@@ -1,14 +1,17 @@
 // Figure 7 — scalability.
 //
-// Runtime of the full routability-driven flow (with per-stage split) and
-// quality versus design size, 1k → 32k std cells. The paper-series claims
-// near-linear scaling of the multilevel analytical engine; the "s/kcell"
-// column makes that visible directly.
+// Runtime of the full routability-driven flow (with per-stage split), peak
+// memory and quality versus design size, 1k → 32k std cells. The
+// paper-series claims near-linear scaling of the multilevel analytical
+// engine; the "s/kcell" column makes that visible directly. "peak MB" is the
+// process's peak RSS after the run: sizes ascend, so that high-water mark is
+// the run's own peak.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "core/report.hpp"
+#include "util/telemetry.hpp"
 #include "util/timer.hpp"
 
 int main() {
@@ -21,7 +24,7 @@ int main() {
   if (quick_mode()) sizes = {500, 1000, 2000};
 
   TableWriter t({"cells", "GP s", "legal s", "DP s", "eval s", "total s", "s/kcell",
-                 "HPWL", "overflow", "legal?"});
+                 "peak MB", "HPWL", "overflow", "legal?"});
   for (const int n : sizes) {
     BenchmarkSpec spec = medium_spec(77);
     spec.name = "scale-" + std::to_string(n);
@@ -36,6 +39,7 @@ int main() {
            TableWriter::num(fr.times.get("eval"), 2),
            TableWriter::num(fr.times.total(), 1),
            TableWriter::num(1000.0 * fr.times.total() / n, 2),
+           TableWriter::num(telemetry::peak_rss_kb() / 1024.0, 1),
            TableWriter::eng(fr.eval.hpwl),
            TableWriter::num(fr.eval.congestion.total_overflow, 0),
            fr.eval.legality.ok() ? "yes" : "NO"});

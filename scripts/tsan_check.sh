@@ -7,7 +7,8 @@
 #  2. Build the Bookshelf fuzzer under ASan/UBSan and run the seeded mutation
 #     corpus, so parser robustness bugs (overflows, OOB reads on truncated
 #     records) fail loudly instead of silently corrupting the Design; the
-#     SIMD, model, solver, route and DP suites run under the same build.
+#     SIMD, model, solver, route, DP and cluster suites run under the same
+#     build.
 #
 # Usage: scripts/tsan_check.sh [build-dir] [asan-build-dir]
 #        (defaults: build-tsan build-asan)
@@ -44,7 +45,7 @@ cmake -B "$ASAN_BUILD_DIR" -S . \
   -DRP_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" \
   --target rp_fuzz_bookshelf test_robustness test_simd test_model test_solver \
-           test_route test_dp
+           test_route test_dp test_cluster
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=0:${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:${UBSAN_OPTIONS:-}"
@@ -71,6 +72,12 @@ echo "== ASan/UBSan: test_route =="
 "$ASAN_BUILD_DIR/tests/test_route"
 echo "== ASan/UBSan: test_dp =="
 "$ASAN_BUILD_DIR/tests/test_dp"
+# Each coarsening pass builds its pair map and CSR adjacency in one arena,
+# and descend() frees the level it projects from. ASan sees the arena as
+# one block, so it catches a read past the arena or of a freed level; UBSan
+# checks the index arithmetic.
+echo "== ASan/UBSan: test_cluster =="
+"$ASAN_BUILD_DIR/tests/test_cluster"
 echo "== ASan/UBSan: rp_fuzz_bookshelf ($FUZZ_SEEDS seeds) =="
 python3 scripts/fuzz_smoke.py "$ASAN_BUILD_DIR/src/core/rp_fuzz_bookshelf" \
   --seeds "$FUZZ_SEEDS"

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory_resource>
 #include <unordered_map>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "util/assert.hpp"
 #include "util/logger.hpp"
@@ -10,8 +15,28 @@
 
 namespace rp {
 
+namespace {
+// Arena bytes reserved per pin of the level being coarsened: the pair map's
+// buckets and nodes plus the CSR adjacency take about 112 on generated
+// designs (1.4-1.7 pairs per pin). A pass that needs more grows the arena
+// by further blocks.
+constexpr std::size_t kArenaBytesPerPin = 128;
+
+// Hand the heap's free pages back to the OS. Once a few multi-megabyte
+// blocks have been freed, glibc raises its mmap threshold and serves vectors
+// of that size from its main heap, where free() cannot return a hole below
+// live blocks. Without this, a popped level, or whatever the caller left
+// fragmented before clustering, stays resident.
+void release_free_heap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+}  // namespace
+
 Multilevel::Multilevel(const Design& d, const ClusterOptions& opt)
     : design_(d), opt_(opt) {
+  release_free_heap();
   Level l0;
   l0.prob = make_problem(d);
   l0.hier.resize(static_cast<std::size_t>(d.num_cells()));
@@ -35,15 +60,21 @@ Multilevel::Multilevel(const Design& d, const ClusterOptions& opt)
           levels_.front().prob.nodes.size(), levels_.back().prob.nodes.size());
 }
 
-bool Multilevel::coarsen_once(Rng& rng) {
+std::vector<int> Multilevel::first_choice_match(Rng& rng, double max_area) const {
   const Level& fine = levels_.back();
   const PlaceProblem& fp = fine.prob;
   const int n = fp.num_nodes();
 
   // ---- adjacency with affinity weights ----
+  // The pair map and the adjacency live in one arena that dies with this
+  // call, before the coarse level is built, so their many small nodes leave
+  // no fragments between the levels' vectors.
+  const std::size_t pins = fp.pins.size();
+  // (Its initial size must be positive, even for a level with no pins.)
+  std::pmr::monotonic_buffer_resource arena(std::max<std::size_t>(pins, 1) * kArenaBytesPerPin);
   // Connectivity weight per pair, w_e / (deg-1), accumulated over shared nets.
-  std::unordered_map<std::uint64_t, double> pair_w;
-  pair_w.reserve(static_cast<std::size_t>(fp.pins.size()) * 2);
+  std::pmr::unordered_map<std::uint64_t, double> pair_w(&arena);
+  pair_w.reserve(pins * 2);
   for (const PlaceNet& net : fp.nets) {
     const int deg = net.degree();
     if (deg < 2 || deg > opt_.max_affinity_net_degree) continue;
@@ -58,24 +89,24 @@ bool Multilevel::coarsen_once(Rng& rng) {
       }
     }
   }
-  // Bucketize per node.
-  std::vector<std::vector<std::pair<int, double>>> adj(static_cast<std::size_t>(n));
+  // Bucketize per node as CSR, each row in pair-map iteration order: the
+  // matching below keeps the first of equal affinities, so this order
+  // decides ties.
+  std::pmr::vector<int> adj_begin(static_cast<std::size_t>(n) + 1, 0, &arena);
+  for (const auto& kv : pair_w) {
+    ++adj_begin[static_cast<std::size_t>(kv.first >> 32) + 1];
+    ++adj_begin[static_cast<std::size_t>(kv.first & 0xffffffffu) + 1];
+  }
+  for (int v = 0; v < n; ++v)
+    adj_begin[static_cast<std::size_t>(v) + 1] += adj_begin[static_cast<std::size_t>(v)];
+  std::pmr::vector<std::pair<int, double>> adj(pair_w.size() * 2, &arena);
+  std::pmr::vector<int> fill(adj_begin.begin(), adj_begin.end() - 1, &arena);
   for (const auto& [key, w] : pair_w) {
     const int a = static_cast<int>(key >> 32);
     const int b = static_cast<int>(key & 0xffffffffu);
-    adj[static_cast<std::size_t>(a)].emplace_back(b, w);
-    adj[static_cast<std::size_t>(b)].emplace_back(a, w);
+    adj[static_cast<std::size_t>(fill[static_cast<std::size_t>(a)]++)] = {b, w};
+    adj[static_cast<std::size_t>(fill[static_cast<std::size_t>(b)]++)] = {a, w};
   }
-
-  double avg_area = 0.0;
-  int movable = 0;
-  for (const auto& nd : fp.nodes)
-    if (!nd.fixed) {
-      avg_area += nd.area();
-      ++movable;
-    }
-  avg_area /= std::max(1, movable);
-  const double max_area = opt_.max_cluster_area_ratio * avg_area;
 
   // ---- first-choice matching ----
   std::vector<int> match(static_cast<std::size_t>(n), -1);
@@ -85,14 +116,15 @@ bool Multilevel::coarsen_once(Rng& rng) {
     if (!fp.nodes[static_cast<std::size_t>(v)].fixed) order.push_back(v);
   rng.shuffle(order);
 
-  int merged = 0;
   for (const int v : order) {
     if (match[static_cast<std::size_t>(v)] != -1) continue;
     const auto& nv = fp.nodes[static_cast<std::size_t>(v)];
     if (nv.area() > max_area || nv.macro) continue;
     int best = -1;
     double best_aff = 0.0;
-    for (const auto& [u, w] : adj[static_cast<std::size_t>(v)]) {
+    for (int k = adj_begin[static_cast<std::size_t>(v)];
+         k < adj_begin[static_cast<std::size_t>(v) + 1]; ++k) {
+      const auto [u, w] = adj[static_cast<std::size_t>(k)];
       if (match[static_cast<std::size_t>(u)] != -1 || u == v) continue;
       const auto& nu = fp.nodes[static_cast<std::size_t>(u)];
       if (nu.fixed || nu.macro) continue;
@@ -113,9 +145,30 @@ bool Multilevel::coarsen_once(Rng& rng) {
     if (best >= 0) {
       match[static_cast<std::size_t>(v)] = best;
       match[static_cast<std::size_t>(best)] = v;
-      ++merged;
     }
   }
+  return match;
+}
+
+bool Multilevel::coarsen_once(Rng& rng) {
+  const Level& fine = levels_.back();
+  const PlaceProblem& fp = fine.prob;
+  const int n = fp.num_nodes();
+
+  double avg_area = 0.0;
+  int movable = 0;
+  for (const auto& nd : fp.nodes)
+    if (!nd.fixed) {
+      avg_area += nd.area();
+      ++movable;
+    }
+  avg_area /= std::max(1, movable);
+  const double max_area = opt_.max_cluster_area_ratio * avg_area;
+
+  const std::vector<int> match = first_choice_match(rng, max_area);
+  int merged = 0;
+  for (int v = 0; v < n; ++v)
+    if (match[static_cast<std::size_t>(v)] > v) ++merged;
   if (merged < static_cast<int>(opt_.min_reduction * movable)) return false;
 
   // ---- build the coarse level ----
@@ -202,12 +255,12 @@ bool Multilevel::coarsen_once(Rng& rng) {
   return true;
 }
 
-void Multilevel::project_down(int l) {
-  RP_ASSERT(l >= 1 && l < num_levels(), "project_down: bad level");
-  const Level& coarse = levels_[static_cast<std::size_t>(l)];
-  Level& fine = levels_[static_cast<std::size_t>(l - 1)];
+void Multilevel::descend() {
+  RP_ASSERT(num_levels() >= 2, "descend: already at the finest level");
+  const Level& coarse = levels_.back();
+  Level& fine = levels_[levels_.size() - 2];
   RP_ASSERT(coarse.fine_to_coarse.size() == fine.prob.nodes.size(),
-            "project_down: mapping size mismatch");
+            "descend: mapping size mismatch");
   // Tiny deterministic stagger so the two members of a cluster do not start
   // exactly coincident (helps the next level's spreading break symmetry).
   for (int v = 0; v < fine.prob.num_nodes(); ++v) {
@@ -221,6 +274,8 @@ void Multilevel::project_down(int l) {
         coarse.prob.y[static_cast<std::size_t>(c)] + jy * fine.prob.nodes[static_cast<std::size_t>(v)].h * 0.25;
   }
   fine.prob.clamp_to_die();
+  levels_.pop_back();
+  release_free_heap();
 }
 
 }  // namespace rp

@@ -47,19 +47,24 @@ struct Level {
   std::vector<int> fine_to_coarse;
 };
 
+/// The level stack, finest at index 0. The global placer places the
+/// coarsest level, then descend()s, so once level 0 is being placed it is
+/// the only level still alive.
 class Multilevel {
  public:
   /// Build the full level stack from a finalized design.
   Multilevel(const Design& d, const ClusterOptions& opt);
 
+  /// Levels still alive; descend() lowers this by one.
   int num_levels() const { return static_cast<int>(levels_.size()); }
   Level& level(int l) { return levels_[static_cast<std::size_t>(l)]; }
   const Level& level(int l) const { return levels_[static_cast<std::size_t>(l)]; }
   /// Coarsest level index.
   int top() const { return num_levels() - 1; }
 
-  /// Copy level-l cluster positions down to level l−1 nodes (declustering).
-  void project_down(int l);
+  /// Copy the coarsest level's cluster positions down to the next finer
+  /// level's nodes (declustering), then release the coarsest level.
+  void descend();
 
  private:
   const Design& design_;
@@ -68,6 +73,9 @@ class Multilevel {
 
   /// One first-choice matching pass; returns false if reduction too small.
   bool coarsen_once(Rng& rng);
+  /// Partner of each node of the coarsest level in one first-choice
+  /// matching (-1: unmatched); merged nodes stay below `max_area`.
+  std::vector<int> first_choice_match(Rng& rng, double max_area) const;
 };
 
 }  // namespace rp

@@ -221,7 +221,7 @@ GpStats GlobalPlacer::run(Design& d) {
 
     const LevelResult lr =
         place_level(prob, dens, *wl, stop, l, mean_inflation(prob),
-                    /*wl_warm_start=*/l == ml.top(), /*lambda0=*/0.0, opt_.max_outer);
+                    /*wl_warm_start=*/l == stats.levels - 1, /*lambda0=*/0.0, opt_.max_outer);
     stats.total_outer += lr.outers;
     double lambda_cont = lr.lambda;
 
@@ -289,7 +289,8 @@ GpStats GlobalPlacer::run(Design& d) {
                                    inflation_map(prob, dens.grid()));
     }
 
-    if (l > 0) ml.project_down(l);
+    // Releases this level: prob is dead from here on.
+    if (l > 0) ml.descend();
   }
 
   apply_solution(ml.level(0).prob, d);

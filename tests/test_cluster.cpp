@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <tuple>
 
 #include "cluster/multilevel.hpp"
 #include "gen/generator.hpp"
@@ -171,7 +174,7 @@ TEST_F(ClusterTest, HierarchyBonusIncreasesIntraModuleMerges) {
   EXPECT_GT(with_h, without_h);
 }
 
-TEST_F(ClusterTest, ProjectDownPlacesFineNearCoarse) {
+TEST_F(ClusterTest, DescendPlacesFineNearCoarse) {
   const Design d = generate_benchmark(small_spec(41));
   Multilevel ml(d, small_opts());
   ASSERT_GE(ml.num_levels(), 2);
@@ -183,13 +186,68 @@ TEST_F(ClusterTest, ProjectDownPlacesFineNearCoarse) {
     coarse.prob.x[static_cast<std::size_t>(v)] = 123.0;
     coarse.prob.y[static_cast<std::size_t>(v)] = 77.0;
   }
-  ml.project_down(top);
+  ml.descend();
+  EXPECT_EQ(ml.num_levels(), top);
   const Level& fine = ml.level(top - 1);
   for (int v = 0; v < fine.prob.num_nodes(); ++v) {
     const auto& n = fine.prob.nodes[static_cast<std::size_t>(v)];
     if (n.fixed) continue;
     EXPECT_NEAR(fine.prob.x[static_cast<std::size_t>(v)], 123.0, n.w + 1.0) << v;
     EXPECT_NEAR(fine.prob.y[static_cast<std::size_t>(v)], 77.0, n.h + 1.0) << v;
+  }
+  // Each further call pops one level until only level 0 is left.
+  for (int l = top - 1; l > 0; --l) {
+    ml.descend();
+    EXPECT_EQ(ml.num_levels(), l);
+  }
+  EXPECT_EQ(ml.level(0).prob.num_nodes(), d.num_cells());
+}
+
+struct BitHash {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::uint64_t bits) {
+    for (int b = 0; b < 64; b += 8) {
+      h ^= (bits >> b) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(int v) { add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
+};
+
+TEST_F(ClusterTest, MultilevelBitsPinned) {
+  // Every level's mapping, nodes, pins and nets, with the hierarchy bonus
+  // on and off. Clustering breaks affinity ties in pair-map iteration
+  // order, so a change to how the pair map or the adjacency is stored
+  // must reproduce these bits exactly.
+  const Design d = generate_benchmark(medium_spec());
+  for (const auto& [use_hier, want_levels, want] :
+       {std::tuple{true, 3, 0x7140b1845a7eedd4ULL}, std::tuple{false, 3, 0x096777abc9be9996ULL}}) {
+    ClusterOptions o;
+    o.use_hierarchy = use_hier;
+    const Multilevel ml(d, o);
+    BitHash h;
+    for (int l = 0; l < ml.num_levels(); ++l) {
+      const Level& lv = ml.level(l);
+      for (const int c : lv.fine_to_coarse) h.add(c);
+      for (const PlaceNode& n : lv.prob.nodes) {
+        h.add(n.w);
+        h.add(n.h);
+        h.add(static_cast<int>(n.fixed));
+      }
+      for (const PlacePin& p : lv.prob.pins) {
+        h.add(p.node);
+        h.add(p.ox);
+        h.add(p.oy);
+      }
+      for (const PlaceNet& n : lv.prob.nets) {
+        h.add(n.pin_begin);
+        h.add(n.pin_end);
+        h.add(n.weight);
+      }
+    }
+    EXPECT_EQ(ml.num_levels(), want_levels) << "use_hierarchy=" << use_hier;
+    EXPECT_EQ(h.h, want) << "use_hierarchy=" << use_hier;
   }
 }
 

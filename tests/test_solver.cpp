@@ -251,5 +251,32 @@ TEST(Cg, GlobalPlacerBitsPinned) {
   parallel::set_num_threads(1);
 }
 
+TEST(Cg, MultilevelGlobalPlacerBitsPinned) {
+  // The same placement from a level stack: every level after the coarsest
+  // starts from the projection of the one above it, with no wirelength-only
+  // warm start. The constants are the bits the placer produced while it
+  // kept every level alive until the end.
+  Logger::set_level(LogLevel::Warn);
+  Design d = generate_benchmark(small_spec(42));
+  GpOptions opt;
+  opt.cluster.target_nodes = 400;
+  GlobalPlacer gp(opt);
+  const GpStats st = gp.run(d);
+  BitHash cells, trace;
+  for (CellId c = 0; c < d.num_cells(); ++c) {
+    const Point ctr = d.cell_center(c);
+    cells.add(ctr.x);
+    cells.add(ctr.y);
+  }
+  for (const GpTracePoint& tp : gp.trace()) {
+    trace.add(tp.hpwl);
+    trace.add(tp.overflow);
+    trace.add(tp.lambda);
+  }
+  EXPECT_EQ(st.levels, 4);
+  EXPECT_EQ(cells.h, 0x4b9726f7407ca1feULL);
+  EXPECT_EQ(trace.h, 0x7df74d5395b3f57fULL);
+}
+
 }  // namespace
 }  // namespace rp
