@@ -51,7 +51,7 @@ PARSE_ERROR, VALIDATION_ERROR, RESOURCE_ERROR, INTERRUPTED = 3, 4, 6, 7
 
 # Flags this script owns: a spec setting them would corrupt the run layout
 # or bypass the seeds array.
-RESERVED = {"out", "report-json", "trace-json", "flight-json", "snapshot-dir",
+RESERVED = {"out", "report-json", "flight-json", "snapshot-dir",
             "snapshot-every", "seed", "help", "map"}
 
 STATUS_NAMES = ["ok", "not_legal", "usage_error", "ParseError",

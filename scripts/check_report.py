@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Telemetry contract check for the routplace binary.
 
-Runs `routplace --gen ... --report-json ... --trace-json ...
---snapshot-dir` on a small generated design and validates:
+Runs `routplace --gen ... --threads 2 --report-json ... --snapshot-dir` on
+a small generated design and validates:
   * the run report against the schema documented in DESIGN.md
     ("Observability"), including cross-checks between the report and the
     summary the binary printed; any NaN/Inf anywhere in the report is an
     error (the C++ JSON writer must emit null for non-finite values, and no
     metric is allowed to be null);
-  * the absence of the "profile" and "resources" blocks (an old v2
-    profiler block and an old v5 sampled timeline, no longer written);
-  * the trace file as a loadable Chrome trace-event document with spans for
-    every flow stage, each multilevel level, and each routability round, plus
-    per-worker pool/chunk spans on named worker lanes;
+  * a stage_times entry for every flow stage, each multilevel level, and
+    the routability rounds;
+  * that pool workers ran chunks: parallel.worker_chunks > 0 on that run,
+    and 0 on a small --threads 1 run;
+  * the absence of the "profile", "resources" and "gauges" blocks (an old
+    v2 profiler block, an old v5 sampled timeline and the named values that
+    copied eval/gp fields, none of them written any more);
   * the snapshot directory: manifest schema, grid-file sizes matching the
     declared dimensions, and the convergence history schema;
   * the failure contract (schema v3): a malformed Bookshelf benchmark must
@@ -20,7 +22,7 @@ Runs `routplace --gen ... --report-json ... --trace-json ...
     code/message/where (file:line)/stage/exit_code, plus a "parse" block with
     the parse mode and repair counters, and a --flight-json dump: schema
     "rp_flight" v1, reason ParseError, seq-ordered ring events ending in the
-    terminal error event, and the counter/gauge snapshot.
+    terminal error event, and the counter snapshot.
 
 Usage: check_report.py /path/to/routplace [--keep]
 Exit code 0 on success; prints every failed expectation otherwise.
@@ -78,7 +80,7 @@ def validate_report(report, stdout_text):
     expect_keys(report, [
         "schema_version", "tool", "build", "design", "mode", "parallel",
         "options", "eval", "gp", "gp_trace", "macro_legal", "legal", "dp",
-        "stage_times", "stage_total_sec", "counters", "gauges", "peak_rss_kb",
+        "stage_times", "stage_total_sec", "counters", "peak_rss_kb",
         "snapshot_dir",
     ], "report")
     if FAILURES:
@@ -105,8 +107,8 @@ def validate_report(report, stdout_text):
           "report.build.cxx_standard is not C++20 or later")
 
     par = report["parallel"]
-    expect_keys(par, ["threads", "hardware_threads", "regions", "chunks"],
-                "report.parallel")
+    expect_keys(par, ["threads", "hardware_threads", "regions", "chunks",
+                      "worker_chunks"], "report.parallel")
     check(par.get("threads", 0) >= 1, "report.parallel.threads < 1")
     check(par.get("hardware_threads", 0) >= 1,
           "report.parallel.hardware_threads < 1")
@@ -114,6 +116,8 @@ def validate_report(report, stdout_text):
           "report.parallel.regions not positive (kernels never used the pool)")
     check(par.get("chunks", 0) >= par.get("regions", 0),
           "report.parallel.chunks < regions")
+    check(par.get("worker_chunks", -1) <= par.get("chunks", 0),
+          "report.parallel.worker_chunks > chunks")
 
     design = report["design"]
     expect_keys(design, ["name", "source", "seed", "cells", "nets", "macros",
@@ -165,65 +169,24 @@ def validate_report(report, stdout_text):
           "report.counters.solver.cg_iters not positive")
     check(report["stage_total_sec"] > 0, "report.stage_total_sec not positive")
     check(report["peak_rss_kb"] > 0, "report.peak_rss_kb not positive")
-    for stage in ("global", "legal", "eval"):
+    stages = ["global", "global/clustering", "macro_legal", "legal",
+              "detailed", "eval"]
+    stages += [f"global/level{lvl}" for lvl in range(gp["levels"])]
+    if gp["inflation_rounds"] > 0:
+        stages.append("global/level0/routability")
+    for stage in stages:
         check(stage in report["stage_times"],
               f"report.stage_times missing '{stage}'")
 
 
-def validate_trace(trace, gp_levels, rounds, threads):
-    check("traceEvents" in trace, "trace: missing traceEvents")
-    events = trace.get("traceEvents", [])
-    check(len(events) > 0, "trace: no events")
-    names = set()
-    chunk_tids = set()
-    thread_names = {}
-    for e in events:
-        if e.get("ph") == "M":
-            expect_keys(e, ["name", "ph", "pid", "tid", "args"], "trace metadata")
-            if e.get("name") == "thread_name":
-                thread_names[e.get("tid")] = e.get("args", {}).get("name", "")
-            continue
-        expect_keys(e, ["name", "ph", "ts", "dur", "pid", "tid"], "trace event")
-        if "ph" in e:
-            check(e["ph"] == "X", f"trace event '{e.get('name')}' not a complete event")
-        if e.get("name") == "pool/chunk":
-            chunk_tids.add(e.get("tid"))
-        else:
-            check(e.get("tid") == 0,
-                  f"trace: main-thread span '{e.get('name')}' on lane {e.get('tid')}")
-        names.add(e.get("name"))
-    for stage in ("flow", "global", "macro_legal", "legal", "detailed", "eval"):
-        check(stage in names, f"trace: missing flow-stage span '{stage}'")
-    for lvl in range(gp_levels):
-        check(f"gp/level{lvl}" in names, f"trace: missing span 'gp/level{lvl}'")
-    for rnd in range(1, rounds + 1):
-        check(f"gp/routability/round{rnd}" in names,
-              f"trace: missing span 'gp/routability/round{rnd}'")
-    # Worker-lane contract: chunk spans ride real per-worker tids and every
-    # lane is named by a thread_name metadata event (worker-0..N-1).
-    check("pool/chunk" in names, "trace: no pool/chunk spans")
-    check(any(t >= 1 for t in chunk_tids),
-          f"trace: all pool/chunk spans on lane(s) {sorted(chunk_tids)} — "
-          f"worker tids were collapsed (ran with {threads} threads)")
-    check(all(0 <= t < threads for t in chunk_tids),
-          f"trace: chunk tid out of range {sorted(chunk_tids)}")
-    for t in sorted(chunk_tids):
-        check(t in thread_names, f"trace: lane {t} has no thread_name metadata")
-    check(thread_names.get(0, "").startswith("main"),
-          "trace: lane 0 not named 'main (worker-0)'")
-    for t in sorted(chunk_tids):
-        if t >= 1:
-            check(thread_names.get(t) == f"worker-{t}",
-                  f"trace: lane {t} named '{thread_names.get(t)}'")
-
-
 def validate_retired_blocks(report):
     """Blocks older reports carry and current ones do not: "profile" (the
-    in-process profiler's region histograms and pool section) and
-    "resources" (a v5 sampled RSS/CPU timeline). Stage time lives in
-    stage_times, and the top-level peak_rss_kb is the process high-water
-    mark."""
-    for key in ("profile", "resources"):
+    in-process profiler's region histograms and pool section), "resources"
+    (a v5 sampled RSS/CPU timeline) and "gauges" (named values that copied
+    the eval and gp blocks). Stage time lives in stage_times, the top-level
+    peak_rss_kb is the process high-water mark, and each former gauge is
+    read from its own block."""
+    for key in ("profile", "resources", "gauges"):
         check(key not in report, f"report: '{key}' block present (no longer written)")
 
 
@@ -294,7 +257,7 @@ def validate_flight(path):
     check(events[-1].get("event") == "error",
           "flight: last ring entry is not the terminal error event")
     check(isinstance(doc.get("counters"), dict), "flight: counters missing")
-    check(isinstance(doc.get("gauges"), dict), "flight: gauges missing")
+    check("gauges" not in doc, "flight: 'gauges' present (no longer written)")
 
 
 def run_negative_path(binary, tmp):
@@ -342,6 +305,26 @@ def run_negative_path(binary, tmp):
     if "error" in report:
         check("m.nodes" in report["error"].get("where", ""),
               "failed-run report: error.where does not name m.nodes")
+
+
+def run_single_thread(binary, tmp):
+    """On --threads 1 every chunk runs on the calling thread."""
+    report_path = tmp / "t1.report.json"
+    cmd = [str(binary), "--gen", "200", "--seed", "7", "--rounds", "1",
+           "--threads", "1", "--out", str(tmp / "t1.pl"),
+           "--report-json", str(report_path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    if not check(proc.returncode == 0,
+                 f"--threads 1 run exited {proc.returncode}"):
+        return
+    report = load_json_strict(report_path, "--threads 1 report")
+    if report is None:
+        return
+    par = report.get("parallel", {})
+    check(par.get("regions", 0) > 0, "--threads 1 report: no parallel regions")
+    check(par.get("worker_chunks") == 0,
+          f"--threads 1 report: parallel.worker_chunks "
+          f"{par.get('worker_chunks')} != 0")
 
 
 def validate_snapshots(snap_dir, rounds_ran):
@@ -423,46 +406,44 @@ def main():
         return 2
 
     rounds = 2
-    threads = 2  # >= 2 so worker lanes are exercised
+    threads = 2  # >= 2 so pool workers run chunks
     with tempfile.TemporaryDirectory(prefix="rp_check_report_") as tmp:
         tmp = Path(tmp)
         report_path = tmp / "run.report.json"
-        trace_path = tmp / "run.trace.json"
         snap_dir = tmp / "snapshots"
         cmd = [str(binary), "--gen", "600", "--seed", "7", "--rounds",
                str(rounds), "--threads", str(threads),
                "--out", str(tmp / "out.pl"),
                "--report-json", str(report_path),
-               "--trace-json", str(trace_path),
                "--snapshot-dir", str(snap_dir)]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=280)
         if not check(proc.returncode == 0,
                      f"routplace exited {proc.returncode}:\n{proc.stderr[-2000:]}"):
             print("\n".join(FAILURES))
             return 1
-        if not check(report_path.exists(), "report file not written") or \
-           not check(trace_path.exists(), "trace file not written"):
+        if not check(report_path.exists(), "report file not written"):
             print("\n".join(FAILURES))
             return 1
 
         report = load_json_strict(report_path, "report")
-        trace = load_json_strict(trace_path, "trace")
-        if report is None or trace is None:
+        if report is None:
             print("\n".join(FAILURES))
             return 1
 
         validate_report(report, proc.stdout)
         validate_retired_blocks(report)
+        check(report.get("parallel", {}).get("worker_chunks", 0) > 0,
+              f"report.parallel.worker_chunks not positive: no pool worker ran "
+              f"a chunk (ran with {threads} threads)")
         # Inflation may converge early; only require the rounds that ran.
         ran_rounds = min(rounds, report.get("gp", {}).get("inflation_rounds", 0))
-        validate_trace(trace, report.get("gp", {}).get("levels", 0), ran_rounds,
-                       threads)
         if check(snap_dir.is_dir(), "snapshot dir not created"):
             validate_snapshots(snap_dir, ran_rounds)
         check("parse" not in report,
               "report: 'parse' block present for generated (non-Bookshelf) input")
         check("error" not in report,
               "report: 'error' block present on a successful run")
+        run_single_thread(binary, tmp)
         run_negative_path(binary, tmp)
 
     if FAILURES:
@@ -470,7 +451,7 @@ def main():
         for f in FAILURES:
             print(f"  - {f}")
         return 1
-    print("check_report: OK (report + trace schema-valid and consistent)")
+    print("check_report: OK (report schema-valid and consistent)")
     return 0
 
 

@@ -6,16 +6,16 @@ matrix the determinism contract covers, and demands that everything
 observable is IDENTICAL between every pair:
 
   run_1: --threads 1,     RP_SIMD=off,  --incremental-eval off
-  run_n: --threads <max>, RP_SIMD=auto, --incremental-eval on,
-         --trace-json (per-chunk pool timing on)
+  run_n: --threads <max>, RP_SIMD=auto, --incremental-eval on
   run_s: --threads 1,     RP_SIMD=auto, --incremental-eval on,
          RP_CHECK_INCREMENTAL=1 (every cached/trialed cost self-verifies
          against a from-scratch recompute and aborts on a bit mismatch)
 
-run_1 vs run_n proves thread- AND vector- AND incremental- AND tracing-
-invariance in one comparison (run_n's trace must hold pool/chunk spans on
-a worker lane, so the timed chunk path really ran); run_1 vs run_s isolates the SIMD/incremental
-axes at a fixed thread count with the cross-checker armed. Identical means:
+run_1 vs run_n proves thread- AND vector- AND incremental-invariance in
+one comparison (run_n's report must count chunks that pool workers ran,
+parallel.worker_chunks > 0, and run_1's must count none); run_1 vs run_s
+isolates the SIMD/incremental axes at a fixed thread count with the
+cross-checker armed. Identical means:
 
 1. the .pl placement files are byte-identical;
 2. every snapshot artifact (manifests, grids, convergence history) is
@@ -60,12 +60,13 @@ GOLDEN_REPORT = (Path(__file__).resolve().parent.parent
                  / "tests" / "golden" / "gen700_s13.report.json")
 
 # Keys that legitimately differ between two identical runs (mirrors
-# report_diff_default_ignores() in src/core/report_diff.cpp). "profile" and
-# "resources" are blocks older reports carry and current ones do not; "simd"
-# carries the requested/active dispatch level and the
+# report_diff_default_ignores() in src/core/report_diff.cpp). "profile",
+# "resources" and "gauges" are blocks older reports carry and current ones
+# do not; "simd" carries the requested/active dispatch level and the
 # incremental-eval switch, which differ across the matrix by construction.
 VOLATILE_KEYS = {"stage_times", "stage_total_sec", "peak_rss_kb", "build",
-                 "snapshot_dir", "parallel", "simd", "profile", "resources"}
+                 "snapshot_dir", "parallel", "simd", "profile", "resources",
+                 "gauges"}
 
 
 def check(cond, what):
@@ -77,15 +78,13 @@ def check(cond, what):
 def scrub(doc):
     """Drop volatile keys (top level + counter names with a volatile prefix)."""
     out = {k: v for k, v in doc.items() if k not in VOLATILE_KEYS}
-    for section in ("counters", "gauges"):
-        if section in out:
-            out[section] = {k: v for k, v in out[section].items()
-                            if not k.startswith("parallel.")}
+    if "counters" in out:
+        out["counters"] = {k: v for k, v in out["counters"].items()
+                           if not k.startswith("parallel.")}
     return out
 
 
-def run_flow(routplace, outdir, threads, trace_json=None, env=None,
-             extra_args=()):
+def run_flow(routplace, outdir, threads, env=None, extra_args=()):
     outdir.mkdir()
     report = outdir / "run.report.json"
     snap = outdir / "snapshots"
@@ -93,8 +92,6 @@ def run_flow(routplace, outdir, threads, trace_json=None, env=None,
            "--threads", str(threads), "--out", str(outdir / "out.pl"),
            "--report-json", str(report), "--snapshot-dir", str(snap)]
     cmd += list(extra_args)
-    if trace_json is not None:  # outside outdir: compare_trees skips it
-        cmd += ["--trace-json", str(trace_json)]
     run_env = dict(os.environ)
     run_env.update(env or {})
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=280,
@@ -169,9 +166,8 @@ def main():
         run_1 = run_flow(routplace, tmp / "t1", 1,
                          env={"RP_SIMD": "off"},
                          extra_args=["--incremental-eval", "off"])
-        trace_n = tmp / "tN.trace.json"
         run_n = run_flow(routplace, tmp / "tN", max_threads,
-                         trace_json=trace_n, env={"RP_SIMD": "auto"},
+                         env={"RP_SIMD": "auto"},
                          extra_args=["--incremental-eval", "on"])
         run_s = run_flow(routplace, tmp / "t1simd", 1,
                          env={"RP_SIMD": "auto", "RP_CHECK_INCREMENTAL": "1"},
@@ -202,12 +198,13 @@ def main():
         check(rep_n["parallel"]["threads"] == max_threads,
               f"report says threads={rep_n['parallel']['threads']}, "
               f"expected {max_threads}")
-        chunk_tids = {e.get("tid") for e in
-                      json.loads(trace_n.read_text()).get("traceEvents", [])
-                      if e.get("ph") == "X" and e.get("name") == "pool/chunk"}
-        check(any(t >= 1 for t in chunk_tids),
-              f"tN trace has no pool/chunk span on a worker lane "
-              f"(lanes {sorted(chunk_tids)})")
+        check(rep_n["parallel"]["worker_chunks"] > 0,
+              "tN report: no pool worker ran a chunk "
+              "(parallel.worker_chunks == 0)")
+        for label, rep in (("t1", rep_1), ("t1simd", rep_s)):
+            check(rep["parallel"]["worker_chunks"] == 0,
+                  f"{label} report: parallel.worker_chunks "
+                  f"{rep['parallel']['worker_chunks']} != 0 on one thread")
         check(rep_1["simd"]["requested"] == "off"
               and rep_1["simd"]["active"] == "scalar",
               f"t1 run did not run scalar kernels: {rep_1['simd']}")

@@ -268,9 +268,8 @@ def main():
 
     counters = report.get("counters", {})
     if counters:
-        parts.append("<details><summary>Counters &amp; gauges</summary>"
-                     "<table class='kv'>")
-        for k, v in list(counters.items()) + list(report.get("gauges", {}).items()):
+        parts.append("<details><summary>Counters</summary><table class='kv'>")
+        for k, v in counters.items():
             parts.append(f"<tr><td>{html.escape(k)}</td><td>{v}</td></tr>")
         parts.append("</table></details>")
 

@@ -1,5 +1,6 @@
 #include "core/cli.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -14,7 +15,6 @@
 #include "util/parallel.hpp"
 #include "util/simd.hpp"
 #include "util/str.hpp"
-#include "util/telemetry.hpp"
 
 namespace rp {
 
@@ -75,7 +75,6 @@ std::string cli_usage() {
       "  --out <file.pl>         placement output (default <design>.rp.pl)\n"
       "  --map                   print the routed-congestion ASCII map\n"
       "  --report-json <file>    write a structured JSON run report\n"
-      "  --trace-json <file>     write a chrome://tracing / Perfetto flow trace\n"
       "  --flight-json <file>    black-box flight recorder: on an error exit,\n"
       "                          watchdog expiry, interrupt, or fatal signal,\n"
       "                          dump the last events + counter snapshot here\n"
@@ -117,6 +116,17 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
       throw std::runtime_error("option '" + opt + "' value out of range");
     return static_cast<int>(v);
   };
+  // The seed is a full uint64_t, so every seed a report records replays;
+  // from_chars rejects a leading '-' rather than wrapping it.
+  const auto seed_value = [&](std::size_t i, const std::string& opt) {
+    const std::string v = need_value(i, opt);
+    std::uint64_t seed = 0;
+    const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), seed);
+    if (ec != std::errc() || ptr != v.data() + v.size())
+      throw std::runtime_error("option '" + opt + "' needs an unsigned integer, got '" +
+                               v + "'");
+    return seed;
+  };
   const auto real_value = [&](std::size_t i, const std::string& opt) {
     const double v = to_double(need_value(i, opt));
     if (!std::isfinite(v))
@@ -130,7 +140,7 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
     else if (a == "--mode") cfg.mode = need_value(i++, a);
     else if (a == "--legalizer") cfg.legalizer = need_value(i++, a);
     else if (a == "--gen") cfg.gen_cells = int_value(i++, a);
-    else if (a == "--seed") cfg.seed = static_cast<std::uint64_t>(to_long(need_value(i++, a)));
+    else if (a == "--seed") cfg.seed = seed_value(i++, a);
     else if (a == "--supply") cfg.track_supply = real_value(i++, a);
     else if (a == "--density") cfg.target_density = real_value(i++, a);
     else if (a == "--rounds") cfg.routability_rounds = int_value(i++, a);
@@ -151,7 +161,6 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
     else if (a == "--max-seconds") cfg.max_seconds = real_value(i++, a);
     else if (a == "--skip-dp") cfg.skip_dp = true;
     else if (a == "--report-json") cfg.report_json = need_value(i++, a);
-    else if (a == "--trace-json") cfg.trace_json = need_value(i++, a);
     else if (a == "--flight-json") cfg.flight_json = need_value(i++, a);
     else if (a == "--snapshot-dir") cfg.snapshot_dir = need_value(i++, a);
     else if (a == "--snapshot-every")
@@ -235,14 +244,13 @@ int run_cli(const CliConfig& cfg) {
   const std::string parse_mode = cfg.lenient ? "lenient" : "strict";
   FlowOptions fopt = cli_flow_options(cfg);
   ParseRepairs repairs;
-  bool trace_active = false;
 
-  // Per-run observability context: counters, trace buffer and the event
-  // bus all live here, bound to this thread for the whole
-  // parse → flow → report span. Parse-time state (repair counters, the
-  // ParseRepair event) accumulates in the SAME context the flow uses, so it
-  // lands in the report without any side channel — and a second run_cli in
-  // one process starts from a fresh context.
+  // Per-run observability context: counters and the event bus live here,
+  // bound to this thread for the whole parse → flow → report span.
+  // Parse-time state (repair counters, the ParseRepair event) accumulates in
+  // the SAME context the flow uses, so it lands in the report without any
+  // side channel — and a second run_cli in one process starts from a fresh
+  // context.
   auto obs_ctx = std::make_shared<obs::ObsContext>();
   obs::ScopedBind obs_bind(obs_ctx.get());
   obs::clear_interrupt();
@@ -260,17 +268,13 @@ int run_cli(const CliConfig& cfg) {
   };
 
   // Failure path shared by parse and flow errors (including Interrupted):
-  // emit the terminal error event, finish the trace if one is recording,
-  // dump the flight recorder, write the run report (with its "error" block)
-  // if requested, log, and return the error class's documented exit code.
+  // emit the terminal error event, dump the flight recorder, write the run
+  // report (with its "error" block) if requested, log, and return the error
+  // class's documented exit code.
   const auto report_error = [&](const Error& e, const RunReportMeta& meta) {
     obs::Event ev = obs_ctx->events().make(obs::EventKind::RunError, e.code_name());
     ev.i0 = e.exit_code();
     obs_ctx->events().emit(ev);
-    if (trace_active) {
-      telemetry::stop_trace();
-      telemetry::write_trace_json(cfg.trace_json);
-    }
     dump_flight(e.code_name());
     FlowResult failed;
     failed.obs = obs_ctx;  // the report still reads the run's counters
@@ -313,11 +317,6 @@ int run_cli(const CliConfig& cfg) {
               repairs.total(), cfg.aux.c_str());
   }
 
-  if (!cfg.trace_json.empty()) {
-    telemetry::start_trace();
-    trace_active = true;
-  }
-
   PlacementFlow flow(fopt);
   FlowResult r;
   try {
@@ -332,12 +331,6 @@ int run_cli(const CliConfig& cfg) {
       0)
     dump_flight("watchdog");
 
-  if (trace_active) {
-    telemetry::stop_trace();
-    if (telemetry::write_trace_json(cfg.trace_json))
-      RP_INFO("trace written to '%s' (load in chrome://tracing or ui.perfetto.dev)",
-              cfg.trace_json.c_str());
-  }
   if (!cfg.report_json.empty()) {
     if (write_run_report(cfg.report_json, meta, flow.options(), r))
       RP_INFO("run report written to '%s'", cfg.report_json.c_str());

@@ -38,7 +38,6 @@ struct CliConfig {
   bool help = false;
   // Telemetry outputs (empty: disabled):
   std::string report_json;   ///< Structured run report (see core/run_report.hpp).
-  std::string trace_json;    ///< Chrome trace-event flow trace.
   std::string flight_json;   ///< Flight-recorder dump on error/crash/interrupt.
   // Spatial snapshots (see core/snapshot.hpp):
   std::string snapshot_dir;  ///< Heatmaps + convergence history directory.

@@ -28,7 +28,6 @@ void with_stage(const char* stage, StageTimes& times, Fn&& fn) {
   bus.emit(bus.make(obs::EventKind::StageBegin, stage));
   try {
     ScopedStage t(times, stage);
-    RP_TRACE_SPAN(stage);
     fn();
   } catch (Error& e) {
     e.set_stage(stage);
@@ -67,8 +66,6 @@ FlowResult PlacementFlow::run(Design& d) {
     e.i2 = d.num_macros();
     bus.emit(e);
   }
-  RP_TRACE_SPAN("flow");
-
   std::unique_ptr<SnapshotRecorder> snap;
   if (!opt_.snapshot.dir.empty()) {
     snap = std::make_unique<SnapshotRecorder>(opt_.snapshot);
@@ -124,7 +121,6 @@ FlowResult PlacementFlow::run(Design& d) {
       rg.emplace(d, true);
       {
         ScopedStage te(r.times, "estimate");
-        RP_TRACE_SPAN("detailed/estimate");
         estimate_probabilistic(d, *rg);
       }
       dpo.congestion_weight = opt_.dp_congestion_weight > 0.0 ? opt_.dp_congestion_weight
@@ -154,10 +150,6 @@ FlowResult PlacementFlow::run(Design& d) {
     } else {
       r.eval = evaluate_placement(d, opt_.eval);
     }
-    RP_GAUGE("eval.hpwl", r.eval.hpwl);
-    RP_GAUGE("eval.scaled_hpwl", r.eval.scaled_hpwl);
-    RP_GAUGE("eval.rc", r.eval.congestion.rc);
-    RP_GAUGE("eval.total_overflow", r.eval.congestion.total_overflow);
     RP_INFO("eval: hpwl %.4e scaled %.4e RC %.1f overflow %.0f (%d edges) legal=%s",
             r.eval.hpwl, r.eval.scaled_hpwl, r.eval.congestion.rc,
             r.eval.congestion.total_overflow, r.eval.congestion.overflowed_edges,

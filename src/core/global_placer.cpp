@@ -188,7 +188,6 @@ GpStats GlobalPlacer::run(Design& d) {
   std::unique_ptr<Multilevel> ml_holder;
   {
     ScopedStage t(times_, "clustering");
-    RP_TRACE_SPAN("gp/clustering");
     ml_holder = std::make_unique<Multilevel>(d, opt_.cluster);
   }
   Multilevel& ml = *ml_holder;
@@ -200,7 +199,6 @@ GpStats GlobalPlacer::run(Design& d) {
 
   for (int l = ml.top(); l >= 0; --l) {
     ScopedStage lt(times_, "level" + std::to_string(l));
-    RP_TRACE_SPAN("gp/level" + std::to_string(l));
     PlaceProblem& prob = ml.level(l).prob;
     DensityConfig dc;
     dc.target_density = opt_.target_density;
@@ -230,7 +228,6 @@ GpStats GlobalPlacer::run(Design& d) {
       for (int round = 0; round < opt_.routability.rounds; ++round) {
         if (watchdog_tripped()) break;
         ScopedStage rt(times_, "routability");
-        RP_TRACE_SPAN("gp/routability/round" + std::to_string(round + 1));
         apply_solution(prob, d);
         RoutingGrid rg(d, /*include_movable_macros=*/true);
         estimate_probabilistic(d, rg);
@@ -302,9 +299,6 @@ GpStats GlobalPlacer::run(Design& d) {
     stats.final_overflow = dens.overflow(ml.level(0).prob);
   }
   stats.mean_inflation = mean_inflation(ml.level(0).prob);
-  RP_GAUGE("gp.final_hpwl", stats.final_hpwl);
-  RP_GAUGE("gp.final_overflow", stats.final_overflow);
-  RP_GAUGE("gp.mean_inflation", stats.mean_inflation);
   RP_INFO("global placement done: hpwl %.4e, overflow %.3f, %d outer iters, %d levels",
           stats.final_hpwl, stats.final_overflow, stats.total_outer, stats.levels);
   return stats;

@@ -72,7 +72,6 @@ InflationResult apply_congestion_inflation(PlaceProblem& prob, const RoutingGrid
                         : 0.0;
   RP_COUNT("gp.inflation_passes", 1);
   RP_COUNT("gp.cells_inflated", res.cells_inflated);
-  RP_GAUGE("gp.inflation_budget_used", res.budget_used);
   RP_DEBUG("inflation: %d cells grown (scale %.2f), mean factor %.3f", res.cells_inflated,
            scale, res.mean_inflation);
   return res;

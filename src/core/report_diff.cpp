@@ -133,12 +133,13 @@ const std::vector<std::string>& report_diff_default_ignores() {
   // simd/incremental dispatch provenance block (results are identical at
   // every vector level and with incremental eval on or off — only the
   // provenance strings differ), and two blocks that older reports carry
-  // and current ones do not: the profiler block ("profile") and the sampled
-  // resource timeline ("resources"). Both are dotless, so the key's very
-  // presence in one report only is ignored too, not just its leaves.
+  // and current ones do not: the profiler block ("profile"), the sampled
+  // resource timeline ("resources") and the named-value block ("gauges").
+  // All three are dotless, so the key's very presence in one report only is
+  // ignored too, not just its leaves.
   static const std::vector<std::string> kIgnores = {
       "stage_times", "stage_total_sec", "peak_rss_kb", "build.", "snapshot_dir",
-      "parallel.", "simd.", "profile", "resources",
+      "parallel.", "simd.", "profile", "resources", "gauges",
   };
   return kIgnores;
 }

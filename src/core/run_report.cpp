@@ -94,7 +94,7 @@ void write_eval(JsonWriter& w, const EvalResult& e) {
 
 std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
                             const FlowResult& r, const RunErrorInfo& err) {
-  // All counter/gauge/event reads go through the run's own context
+  // All counter/event reads go through the run's own context
   // (re-entrancy: reporting run A must not read whatever context happens to
   // be bound right now); binding it here makes the nested writers resolve
   // the right instances too.
@@ -108,8 +108,9 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
   // v5 added an optional "resources" block that is no longer written; v4
   // added the "events" block and reads the parse block's repair counts from
   // the per-run counters; v3 the optional "parse"/"error" blocks; v2 an
-  // optional "profile" block, also no longer written. Every other field is
-  // unchanged, so old consumers keep working.
+  // optional "profile" block, also no longer written, as is the v1
+  // "gauges" block. Every other field is unchanged, so old consumers keep
+  // working.
   w.kv("schema_version", 5);
   w.kv("tool", "routplace");
 
@@ -180,6 +181,7 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
   w.kv("hardware_threads", static_cast<std::int64_t>(parallel::hardware_threads()));
   w.kv("regions", parallel::ThreadPool::instance().regions_run());
   w.kv("chunks", parallel::ThreadPool::instance().chunks_run());
+  w.kv("worker_chunks", parallel::ThreadPool::instance().worker_chunks_run());
   w.end_object();
 
   // Kernel-dispatch provenance, same contract as "parallel": the active
@@ -250,9 +252,6 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
 
   w.key("counters").begin_object();
   for (const auto& [name, v] : reg.counters()) w.kv(name, v);
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, v] : reg.gauges()) w.kv(name, v);
   w.end_object();
 
   // Event-bus totals. The count is deterministic (one event per lifecycle

@@ -5,7 +5,7 @@
 // PlacementFlow::run produced: the design/seed/options fingerprint, the
 // evaluation bundle (HPWL, scaled HPWL, ACE/RC, overflow, legality), per-stage
 // stats (GP, macro legal, legal, DP), the full GP convergence trace, the
-// nested stage-time breakdown, a snapshot of every telemetry counter/gauge,
+// nested stage-time breakdown, a snapshot of every telemetry counter,
 // and the process peak RSS. Emitted by `routplace --report-json <file>`;
 // checked by scripts/check_report.py, diffed by rp_report_diff, and pinned
 // by the committed tests/golden/gen700_s13.report.json.
@@ -14,7 +14,7 @@
 //   schema_version, tool, build{git_describe, compiler, build_type, flags,
 //   cxx_standard}, design{...}, options{...}, eval{...}, gp{...},
 //   gp_trace[...], macro_legal{...}, legal{...}, dp{...},
-//   stage_times{...}, stage_total_sec, counters{...}, gauges{...},
+//   stage_times{...}, stage_total_sec, counters{...},
 //   peak_rss_kb, snapshot_dir
 //   v3 additions: optional "parse" block (Bookshelf input: mode + per-repair
 //   counters) and optional "error" block (failed runs only: code, message,
@@ -22,12 +22,15 @@
 //   v4 additions: "events" block (event-bus totals); the parse block's
 //   repair counts are now read from the run's ObsContext counters
 //   ("parse.repair.*") instead of a RunReportMeta field, and the whole
-//   report reads counters/gauges through FlowResult::obs when set — so a
+//   report reads counters through FlowResult::obs when set — so a
 //   report for run A is correct even while run B is bound on this thread.
 //   v5 additions: an optional "resources" block (a sampled RSS/CPU/pool-busy
 //   timeline). It is no longer written; the version stays 5 because the
 //   block was always optional, and "resources" stays on the report-diff and
 //   determinism ignore lists so older v5 reports still compare clean.
+//   The "gauges" block (named values that copied eval/gp fields) is no
+//   longer written either, on the same terms: the version stays 5 and
+//   "gauges" sits on both ignore lists.
 
 #include <cstdint>
 #include <string>

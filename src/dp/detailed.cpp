@@ -245,7 +245,6 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
 
   for (int pass = 0; pass < opt_.passes; ++pass) {
     obs::check_interrupt();  // SIGINT/SIGTERM: unwind between DP passes
-    RP_TRACE_SPAN("dp/pass" + std::to_string(pass + 1));
     RP_COUNT("dp.passes", 1);
     // ---------------- global swap / relocation ----------------
     if (opt_.enable_global_swap) {

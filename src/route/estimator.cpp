@@ -94,7 +94,6 @@ struct EstScratch {
 
 void estimate_probabilistic(const Design& d, NetlistCsr& csr, RoutingGrid& rg) {
   RP_COUNT("route.estimates", 1);
-  RP_TRACE_SPAN("route/estimate");
   rg.clear_usage();
   const GridMap& m = rg.map();
   csr.gather_coords(d);

@@ -251,15 +251,6 @@ bool EventBus::dump_flight_fd(int fd, const char* reason,
       w.put_char(':');
       w.put_i64(c.value);
     }
-    w.put("},\"gauges\":{");
-    first = true;
-    for (const auto& [name, g] : reg->gauges_map()) {
-      if (!first) w.put_char(',');
-      first = false;
-      w.put_quoted(name.c_str());
-      w.put_char(':');
-      w.put_double(g.value);
-    }
     w.put("}");
   }
   w.put("}\n");

@@ -23,7 +23,7 @@
 // volatile by construction and excluded from determinism comparisons.
 //
 // The flight recorder can be dumped as a `flight.json` document — last N
-// events plus a counter/gauge snapshot — through two paths: dump_flight()
+// events plus a counter snapshot — through two paths: dump_flight()
 // for normal error exits, and dump_flight_fd(), which is async-signal-safe
 // (write()-only, no allocation, integer-math number formatting) for fatal
 // signal handlers (SIGSEGV/SIGABRT).
@@ -97,7 +97,7 @@ class EventBus {
   int flight_events(Event* out, int max) const;
 
   /// Async-signal-safe dump of the flight document (header + last events +
-  /// counter/gauge snapshot from `reg`, which may be null) to an open fd.
+  /// counter snapshot from `reg`, which may be null) to an open fd.
   /// Uses only write() and stack buffers. Returns false on a short write.
   bool dump_flight_fd(int fd, const char* reason,
                       const telemetry::Registry* reg) const;

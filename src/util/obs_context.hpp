@@ -3,8 +3,7 @@
 // observability layer and the re-entrancy contract for `flow.run`.
 //
 //   ObsContext
-//    ├── telemetry::Registry    counters + gauges   (RP_COUNT / RP_GAUGE)
-//    ├── telemetry::TraceBuffer Chrome-trace spans  (RP_TRACE_SPAN)
+//    ├── telemetry::Registry    counters            (RP_COUNT)
 //    └── obs::EventBus          lifecycle events, flight recorder
 //
 // Every flow run owns a context: the caller's (FlowOptions::obs), or a fresh
@@ -18,13 +17,13 @@
 //
 // THREAD-BOUND CURRENT CONTEXT. `current()` resolves to the context bound to
 // this thread (`bind` / ScopedBind), falling back to a process-wide default.
-// `Registry::instance()` and every RP_* macro resolve against current(), so
+// `Registry::instance()` and RP_COUNT resolve against current(), so
 // the entire codebase — and its tests — work unchanged; code that never
-// binds a context sees exactly the old global behavior. Two threads bound to two different contexts observe fully
-// disjoint counters/traces/events (the re-entrancy ctest proves byte-
-// identical reports for concurrent runs).
+// binds a context sees exactly the old global behavior. Two threads bound
+// to two different contexts observe fully disjoint counters and events (the
+// re-entrancy ctest proves byte-identical reports for concurrent runs).
 //
-// MACRO SLOT CACHES. RP_COUNT/RP_GAUGE cache their slot pointer per call
+// MACRO SLOT CACHES. RP_COUNT caches its slot pointer per call
 // site in a thread_local stamped with the owning registry's epoch (a
 // process-unique id minted at registry construction). A cache hit is one
 // compare + one add; switching contexts — or destroying one and allocating
@@ -52,8 +51,8 @@
 
 namespace rp::obs {
 
-/// One run's worth of observability state. Default-constructible, owns all
-/// three sinks; see the file comment for the binding/lifetime contract.
+/// One run's worth of observability state. Default-constructible, owns both
+/// sinks; see the file comment for the binding/lifetime contract.
 class ObsContext {
  public:
   ObsContext() = default;
@@ -62,18 +61,16 @@ class ObsContext {
 
   telemetry::Registry& registry() { return registry_; }
   const telemetry::Registry& registry() const { return registry_; }
-  telemetry::TraceBuffer& trace() { return trace_; }
   EventBus& events() { return events_; }
   const EventBus& events() const { return events_; }
 
-  /// Zero counters/gauges in place (slot addresses and epochs are
-  /// preserved; the event bus and trace buffer are not touched). Fresh
-  /// contexts start zeroed — this is for reuse.
+  /// Zero counters in place (slot addresses and epochs are preserved; the
+  /// event bus is not touched). Fresh contexts start zeroed — this is for
+  /// reuse.
   void reset() { registry_.reset(); }
 
  private:
   telemetry::Registry registry_;
-  telemetry::TraceBuffer trace_;
   EventBus events_;
 };
 

@@ -7,7 +7,6 @@
 
 #include "util/assert.hpp"
 #include "util/profiler.hpp"
-#include "util/telemetry.hpp"
 
 namespace rp::parallel {
 
@@ -132,7 +131,6 @@ struct ThreadPool::Impl {
   // Current job (written by the submitter before it publishes `cursor`).
   int job_count = 0;
   bool job_instrument = false;  // time chunks into the worker slots
-  bool job_trace = false;       // additionally keep per-chunk trace events
   const std::function<void(int, int)>* fn = nullptr;
 
   // ---------------------------------------------------------- observability
@@ -143,23 +141,14 @@ struct ThreadPool::Impl {
   struct alignas(64) WorkerSlot {
     std::uint64_t busy_ns = 0;
     std::int64_t chunks = 0;
-    struct Ev {
-      std::uint64_t start_ns = 0;
-      std::uint64_t dur_ns = 0;
-    };
-    Ev events[kDefaultMaxChunks];  ///< Trace spans (capped; extras dropped).
-    int num_events = 0;
 
-    void time_chunk(std::uint64_t start_ns, std::uint64_t dur_ns, bool keep_event) {
+    void time_chunk(std::uint64_t dur_ns) {
       busy_ns += dur_ns;
       ++chunks;
-      if (keep_event && num_events < kDefaultMaxChunks)
-        events[num_events++] = {start_ns, dur_ns};
     }
     void clear_region() {
       busy_ns = 0;
       chunks = 0;
-      num_events = 0;
     }
   };
   std::vector<WorkerSlot> slots;  // size threads_
@@ -179,26 +168,20 @@ struct ThreadPool::Impl {
   }
 
   /// Fold the per-worker region slots (ascending worker order) into the
-  /// cumulative profile and/or the trace buffer, then clear them.
-  void fold_region(std::uint64_t wall_ns, int nworkers, bool profile, bool trace) {
+  /// cumulative profile, then clear them.
+  void fold_region(std::uint64_t wall_ns, int nworkers) {
     std::uint64_t total_busy = 0, max_busy = 0;
     for (int w = 0; w < nworkers; ++w) {
       WorkerSlot& slot = slots[static_cast<std::size_t>(w)];
       total_busy += slot.busy_ns;
       if (slot.busy_ns > max_busy) max_busy = slot.busy_ns;
-      if (profile) {
-        WorkerProfile& t = totals[static_cast<std::size_t>(w)];
-        t.busy_ns += slot.busy_ns;
-        t.wait_ns += wall_ns > slot.busy_ns ? wall_ns - slot.busy_ns : 0;
-        t.chunks += slot.chunks;
-      }
-      if (trace)
-        for (int i = 0; i < slot.num_events; ++i)
-          telemetry::emit_span("pool/chunk", slot.events[i].start_ns,
-                               slot.events[i].dur_ns, w);
+      WorkerProfile& t = totals[static_cast<std::size_t>(w)];
+      t.busy_ns += slot.busy_ns;
+      t.wait_ns += wall_ns > slot.busy_ns ? wall_ns - slot.busy_ns : 0;
+      t.chunks += slot.chunks;
       slot.clear_region();
     }
-    if (!profile || wall_ns == 0) return;
+    if (wall_ns == 0) return;
     ++prof_regions;
     wall_sum_ns += static_cast<double>(wall_ns);
     busy_sum_ns += static_cast<double>(total_busy);
@@ -214,33 +197,34 @@ struct ThreadPool::Impl {
   /// Claim and run chunks of job `tag` (ascending indices) until none is
   /// left, then add them to `done`, waking a parked submitter when they were
   /// the job's last. A thread that claims nothing touches no job state.
-  void run_chunks(std::uint32_t tag, int worker) {
+  /// Returns how many chunks this thread ran.
+  int run_chunks(std::uint32_t tag, int worker) {
     const std::uint64_t tagged = std::uint64_t{tag} << 32;
     std::uint64_t cur = cursor.load();
     int ran = 0, count = 0;
-    bool instrument = false, trace = false;
+    bool instrument = false;
     while ((cur & ~kLeftMask) == tagged && (cur & kLeftMask) != 0) {
       if (!cursor.compare_exchange_weak(cur, cur - 1)) continue;
       if (ran == 0) {  // job fields are stable until this chunk is done
         count = job_count;
         instrument = job_instrument;
-        trace = job_trace;
         t_in_region = true;
       }
       const int c = count - static_cast<int>(cur & kLeftMask);
       if (instrument) {
         const std::uint64_t t0 = profiler::now_ns();
         (*fn)(c, worker);
-        slots[static_cast<std::size_t>(worker)].time_chunk(t0, profiler::now_ns() - t0, trace);
+        slots[static_cast<std::size_t>(worker)].time_chunk(profiler::now_ns() - t0);
       } else {
         (*fn)(c, worker);
       }
       ++ran;
       cur = cursor.load();
     }
-    if (ran == 0) return;
+    if (ran == 0) return 0;
     t_in_region = false;
     if (done.fetch_add(ran) + ran == count && caller_parked.load()) done.notify_one();
+    return ran;
   }
 };
 
@@ -303,8 +287,10 @@ void ThreadPool::worker_loop(int worker_id, std::uint32_t seen) {
                      s.epoch.wait(seen);
                      s.parked.fetch_sub(1);
                    });
-    if (s.shutdown.load()) return;
+    // Epoch before shutdown: stop_workers sets shutdown before its epoch
+    // bump, so (seq_cst) a worker that sees the bump also sees shutdown.
     seen = s.epoch.load();
+    if (s.shutdown.load()) return;
     s.run_chunks(seen, worker_id);
   }
 }
@@ -328,11 +314,11 @@ void ThreadPool::run(const ChunkPlan& plan, const std::function<void(int, int)>&
       for (int c = 0; c < plan.count; ++c) {
         const std::uint64_t t0 = profiler::now_ns();
         fn(c, 0);
-        slot.time_chunk(t0, profiler::now_ns() - t0, /*keep_event=*/false);
+        slot.time_chunk(profiler::now_ns() - t0);
       }
       const std::uint64_t wall = profiler::now_ns() - r0;
       t_in_region = was_in_region;
-      impl_->fold_region(wall, /*nworkers=*/1, /*profile=*/true, /*trace=*/false);
+      impl_->fold_region(wall, /*nworkers=*/1);
     } else {
       for (int c = 0; c < plan.count; ++c) fn(c, 0);
       t_in_region = was_in_region;
@@ -343,20 +329,17 @@ void ThreadPool::run(const ChunkPlan& plan, const std::function<void(int, int)>&
   // One job at a time: a second submitter blocks here until the first job
   // fully completes (including its profile fold).
   std::unique_lock<std::mutex> submit_lk(s.submit_m);
-  const bool trace = telemetry::trace_enabled();
-  const bool instrument = g_pool_profiling || trace;
-  const std::uint64_t r0 = instrument ? profiler::now_ns() : 0;
+  const std::uint64_t r0 = g_pool_profiling ? profiler::now_ns() : 0;
   const int count = plan.count;
   s.fn = &fn;
   s.job_count = count;
-  s.job_instrument = instrument;
-  s.job_trace = trace;
+  s.job_instrument = g_pool_profiling;
   s.done.store(0);
   const std::uint32_t tag = s.epoch.load() + 1;
   s.cursor.store(std::uint64_t{tag} << 32 | static_cast<std::uint32_t>(count));
   s.epoch.store(tag);
   if (s.parked.load() > 0) s.epoch.notify_all();
-  s.run_chunks(tag, 0);  // the caller is worker 0
+  const int caller_ran = s.run_chunks(tag, 0);  // the caller is worker 0
   spin_then_park([&] { return s.done.load() == count; },
                  [&] {
                    // Mirror of the worker park: the chunk that completes the
@@ -365,8 +348,8 @@ void ThreadPool::run(const ChunkPlan& plan, const std::function<void(int, int)>&
                    for (int d = s.done.load(); d != count; d = s.done.load()) s.done.wait(d);
                    s.caller_parked.store(false);
                  });
-  if (instrument)
-    s.fold_region(profiler::now_ns() - r0, threads_, g_pool_profiling, trace);
+  worker_chunks_.fetch_add(count - caller_ran, std::memory_order_relaxed);
+  if (g_pool_profiling) s.fold_region(profiler::now_ns() - r0, threads_);
 }
 
 PoolProfile pool_profile() {

@@ -86,10 +86,9 @@ int num_threads();
 // — zero steady-state allocation). After the region completes, the CALLING
 // thread folds the slots in ascending worker order into the cumulative
 // profile: per-worker busy/wait nanoseconds, chunk counts, and per-region
-// efficiency/imbalance ratios. The same per-chunk timing feeds the
-// `pool/chunk` spans of a Chrome trace. Workers never touch shared
-// accumulators, and nothing here feeds back into chunk planning or results
-// — the determinism contract is untouched.
+// efficiency/imbalance ratios. Workers never touch shared accumulators, and
+// nothing here feeds back into chunk planning or results — the determinism
+// contract is untouched.
 
 /// Cumulative per-worker accounting (worker 0 is the caller).
 struct WorkerProfile {
@@ -150,6 +149,10 @@ class ThreadPool {
   // submitters from distinct ObsContexts share the pool).
   std::int64_t regions_run() const { return regions_.load(std::memory_order_relaxed); }
   std::int64_t chunks_run() const { return chunks_.load(std::memory_order_relaxed); }
+  /// Chunks of pooled regions that a worker thread (not the caller) ran.
+  std::int64_t worker_chunks_run() const {
+    return worker_chunks_.load(std::memory_order_relaxed);
+  }
 
  private:
   friend PoolProfile pool_profile();
@@ -165,6 +168,7 @@ class ThreadPool {
   int threads_ = 1;
   std::atomic<std::int64_t> regions_{0};
   std::atomic<std::int64_t> chunks_{0};
+  std::atomic<std::int64_t> worker_chunks_{0};
 };
 
 /// parallel_for over [0, n): body(begin, end, worker) per chunk.

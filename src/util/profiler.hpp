@@ -2,8 +2,8 @@
 // The steady clock every timed observer reads, and the switch for the
 // thread pool's busy/wait accounting (util/parallel's PoolProfile).
 //
-// Stage durations live in FlowResult::times (StageTimes), spans in the
-// Chrome trace (--trace-json), and kernel plus pool time in perfbench.
+// Stage durations live in FlowResult::times (StageTimes), and kernel plus
+// pool time in perfbench.
 
 #include <cstdint>
 

@@ -5,7 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <limits>
 #include <sstream>
 
 #include "core/cli.hpp"
@@ -43,6 +43,9 @@ TEST(Cli, ParsesAllOptions) {
   EXPECT_TRUE(c.skip_dp);
   EXPECT_TRUE(c.show_map);
   EXPECT_TRUE(c.verbose);
+  // Every uint64_t seed parses, so any seed a report records replays.
+  EXPECT_EQ(parse_cli_args({"--seed", "18446744073709551615"}).seed,
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(Cli, RejectsUnknownOption) {
@@ -52,6 +55,7 @@ TEST(Cli, RejectsUnknownOption) {
   EXPECT_THROW(parse_cli_args({"--profile"}), std::runtime_error);
   EXPECT_THROW(parse_cli_args({"--progress-ndjson", "x"}), std::runtime_error);
   EXPECT_THROW(parse_cli_args({"--snapshot-svg"}), std::runtime_error);
+  EXPECT_THROW(parse_cli_args({"--trace-json", "x"}), std::runtime_error);
 }
 
 TEST(Cli, RejectsMissingValue) {
@@ -73,6 +77,8 @@ TEST(Cli, RejectsBadDensity) {
 
 TEST(Cli, RejectsNonNumericValue) {
   EXPECT_THROW(parse_cli_args({"--seed", "banana"}), std::runtime_error);
+  // A negative seed is refused, not wrapped to a huge unsigned value.
+  EXPECT_THROW(parse_cli_args({"--seed", "-1"}), std::runtime_error);
 }
 
 TEST(Cli, RejectsNonPositiveGen) {
@@ -145,14 +151,11 @@ TEST(Cli, ParsesThreadsFlag) {
 }
 
 TEST(Cli, ParsesTelemetryOutputFlags) {
-  const CliConfig c = parse_cli_args(
-      {"--report-json", "r.json", "--trace-json", "t.json"});
+  const CliConfig c = parse_cli_args({"--report-json", "r.json"});
   EXPECT_EQ(c.report_json, "r.json");
-  EXPECT_EQ(c.trace_json, "t.json");
   EXPECT_THROW(parse_cli_args({"--report-json"}), std::runtime_error);
-  EXPECT_THROW(parse_cli_args({"--trace-json"}), std::runtime_error);
   EXPECT_NE(cli_usage().find("--report-json"), std::string::npos);
-  EXPECT_NE(cli_usage().find("--trace-json"), std::string::npos);
+  EXPECT_EQ(cli_usage().find("--trace-json"), std::string::npos);
 }
 
 TEST(Cli, ParsesSnapshotFlags) {
@@ -193,32 +196,28 @@ TEST(Cli, ParsesWlModelAndInflateRate) {
   EXPECT_NE(cli_usage().find("--inflate-rate"), std::string::npos);
 }
 
-TEST(Cli, EndToEndEmitsReportAndTrace) {
+TEST(Cli, EndToEndEmitsReport) {
   Logger::set_level(LogLevel::Error);
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "rp_cli_telemetry";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const fs::path report = dir / "run.report.json";
-  const fs::path trace = dir / "run.trace.json";
-  CliConfig c = parse_cli_args(
-      {"--gen", "300", "--seed", "5", "--rounds", "1",
-       "--out", (dir / "gen.pl").string(),
-       "--report-json", report.string(), "--trace-json", trace.string()});
+  CliConfig c = parse_cli_args({"--gen", "300", "--seed", "5", "--rounds", "1",
+                                "--out", (dir / "gen.pl").string(),
+                                "--report-json", report.string()});
   EXPECT_EQ(run_cli(c), 0);
 
-  const auto slurp = [](const fs::path& p) {
-    std::ifstream in(p);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
+  std::ifstream in(report);
+  std::stringstream ss;
+  ss << in.rdbuf();
 
   // Report: schema-valid and self-consistent.
-  const JsonValue rep = json_parse(slurp(report));
+  const JsonValue rep = json_parse(ss.str());
   EXPECT_EQ(rep.at("schema_version").num, 5.0);
   EXPECT_FALSE(rep.has("profile"));    // no longer written
   EXPECT_FALSE(rep.has("resources"));  // no longer written
+  EXPECT_FALSE(rep.has("gauges"));     // no longer written
   EXPECT_GT(rep.at("peak_rss_kb").num, 0.0);
   EXPECT_EQ(rep.at("design").at("name").str, "gen300");
   EXPECT_GT(rep.at("eval").at("hpwl").num, 0.0);
@@ -229,19 +228,12 @@ TEST(Cli, EndToEndEmitsReportAndTrace) {
   EXPECT_GE(rep.at("parallel").at("threads").num, 1.0);
   EXPECT_GE(rep.at("parallel").at("hardware_threads").num, 1.0);
   EXPECT_GT(rep.at("parallel").at("regions").num, 0.0);
-
-  // Trace: loadable event buffer with spans for every flow stage ("M" rows
-  // are the thread-naming metadata for the per-worker lanes).
-  const JsonValue tr = json_parse(slurp(trace));
-  std::set<std::string> names;
-  for (const JsonValue& e : tr.at("traceEvents").arr) {
-    EXPECT_TRUE(e.at("ph").str == "X" || e.at("ph").str == "M");
-    if (e.at("ph").str == "X") names.insert(e.at("name").str);
-  }
-  for (const char* stage :
-       {"flow", "global", "macro_legal", "legal", "detailed", "eval",
-        "gp/level0", "gp/routability/round1"})
-    EXPECT_TRUE(names.count(stage)) << "missing span '" << stage << "'";
+  EXPECT_GE(rep.at("parallel").at("worker_chunks").num, 0.0);
+  // Every flow stage, and GP's levels and routability rounds, is timed.
+  for (const char* stage : {"global", "global/clustering", "global/level0",
+                            "global/level0/routability", "macro_legal", "legal",
+                            "detailed", "detailed/estimate", "eval"})
+    EXPECT_TRUE(rep.at("stage_times").has(stage)) << "missing stage '" << stage << "'";
   fs::remove_all(dir);
 }
 

@@ -105,7 +105,7 @@ TEST_F(ObsTest, ConcurrentRunsOnSeparateContextsMatchFreshBaseline) {
       run_with_context(std::make_shared<obs::ObsContext>(), 92);
   // Two full flows at once, each thread bound to its own context. The shared
   // thread pool serializes whole parallel jobs (util/parallel.hpp), and
-  // every RP_COUNT/RP_GAUGE/event resolves through the thread's binding —
+  // every RP_COUNT/event resolves through the thread's binding —
   // so neither run can see the other's observability state.
   std::string a, b;
   std::thread ta([&] { a = run_with_context(std::make_shared<obs::ObsContext>(), 92); });
@@ -157,23 +157,24 @@ TEST_F(ObsTest, MacroSlotCachesFollowTheBoundContext) {
   // The same RP_COUNT call site (one static thread_local slot cache) must
   // land in whichever registry is current — the epoch check re-resolves the
   // slot on every context switch, including back to a previous context.
+  // Two call sites per context, so each keeps its own cache.
   obs::ObsContext a, b;
   for (int round = 0; round < 2; ++round) {
     {
       obs::ScopedBind bind(&a);
       RP_COUNT("obs.test.hits", 1);
-      RP_GAUGE("obs.test.level", 1.0);
+      RP_COUNT("obs.test.level", 3);
     }
     {
       obs::ScopedBind bind(&b);
       RP_COUNT("obs.test.hits", 10);
-      RP_GAUGE("obs.test.level", 2.0);
+      RP_COUNT("obs.test.level", 30);
     }
   }
   EXPECT_EQ(a.registry().counter_value("obs.test.hits"), 2);
   EXPECT_EQ(b.registry().counter_value("obs.test.hits"), 20);
-  EXPECT_DOUBLE_EQ(a.registry().gauge_value("obs.test.level"), 1.0);
-  EXPECT_DOUBLE_EQ(b.registry().gauge_value("obs.test.level"), 2.0);
+  EXPECT_EQ(a.registry().counter_value("obs.test.level"), 6);
+  EXPECT_EQ(b.registry().counter_value("obs.test.level"), 60);
 }
 
 TEST_F(ObsTest, ResetPreservesSlotAddresses) {
@@ -251,7 +252,7 @@ TEST_F(ObsTest, DumpFlightWritesValidDocument) {
   {
     obs::ScopedBind bind(&ctx);
     RP_COUNT("obs.test.flight", 7);
-    RP_GAUGE("obs.test.depth", 2.5);
+    RP_COUNT("obs.test.depth", 2);
   }
   obs::Event e = ctx.events().make(obs::EventKind::Watchdog, "gp_iters");
   e.d0 = 40.0;
@@ -268,7 +269,8 @@ TEST_F(ObsTest, DumpFlightWritesValidDocument) {
   EXPECT_EQ(v.at("events").arr[0].at("event").str, "watchdog");
   EXPECT_EQ(v.at("events").arr[0].at("label").str, "gp_iters");
   EXPECT_EQ(v.at("counters").at("obs.test.flight").num, 7.0);
-  EXPECT_DOUBLE_EQ(v.at("gauges").at("obs.test.depth").num, 2.5);
+  EXPECT_EQ(v.at("counters").at("obs.test.depth").num, 2.0);
+  EXPECT_FALSE(v.has("gauges"));
 }
 
 TEST_F(ObsTest, EveryEventKindHasAStableWireName) {

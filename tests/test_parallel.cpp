@@ -325,15 +325,31 @@ TEST(PoolProfile, BusyPlusWaitEqualsRegionWallPerWorker) {
   PoolGuard guard;
   PoolProfileScope on;
   parallel::set_num_threads(4);
-  std::vector<double> out(20000);
-  parallel::parallel_for(out.size(), 64, [&](std::size_t b, std::size_t e, int) {
-    for (std::size_t i = b; i < e; ++i) out[i] = std::sqrt(static_cast<double>(i));
-  });
+  const parallel::ThreadPool& pool = parallel::ThreadPool::instance();
+  const std::int64_t worker_chunks0 = pool.worker_chunks_run();
+  // The chunk->worker race is dynamic: on a fast machine the caller can
+  // drain a region before the workers even wake. Re-run regions with real
+  // per-chunk work until a worker takes part (bounded; one region is the
+  // overwhelmingly common case).
+  std::vector<double> out(200000);
+  int regions = 0;
+  std::int64_t worker_chunks = 0;  // chunks run by workers w >= 1
+  for (; regions < 50 && worker_chunks == 0; ++regions) {
+    parallel::parallel_for(out.size(), 64, [&](std::size_t b, std::size_t e, int) {
+      for (std::size_t i = b; i < e; ++i)
+        out[i] = std::sin(static_cast<double>(i)) + std::sqrt(static_cast<double>(i));
+    });
+    const parallel::PoolProfile p = parallel::pool_profile();
+    for (std::size_t w = 1; w < p.workers.size(); ++w) worker_chunks += p.workers[w].chunks;
+  }
   const parallel::PoolProfile p = parallel::pool_profile();
 
   EXPECT_EQ(p.threads, 4);
-  EXPECT_EQ(p.regions, 1);
+  EXPECT_EQ(p.regions, regions);
   ASSERT_EQ(p.workers.size(), 4u);
+  EXPECT_GT(worker_chunks, 0) << "no pool worker ran a chunk";
+  // The report's parallel.worker_chunks counts the same chunks.
+  EXPECT_EQ(pool.worker_chunks_run() - worker_chunks0, worker_chunks);
   // wait := wall - busy by construction, so the sum is exact per worker and
   // the per-region identity survives accumulation over regions:
   //   Σ_w (busy_w + wait_w) == threads · Σ wall.
@@ -345,7 +361,7 @@ TEST(PoolProfile, BusyPlusWaitEqualsRegionWallPerWorker) {
   }
   const double expected = static_cast<double>(p.threads) * p.wall_ns;
   EXPECT_NEAR(busy_wait_sum, expected, 1e-6 * expected + 1.0);
-  EXPECT_EQ(chunks, parallel::plan_chunks(out.size(), 64).count);  // each once
+  EXPECT_EQ(chunks, regions * parallel::plan_chunks(out.size(), 64).count);  // each once
   EXPECT_GT(p.busy_ns, 0.0);
   EXPECT_LE(p.busy_ns, expected);
   EXPECT_GT(p.efficiency_mean, 0.0);
@@ -357,6 +373,7 @@ TEST(PoolProfile, SingleThreadInlineRegionsAreAccounted) {
   PoolGuard guard;
   PoolProfileScope on;
   parallel::set_num_threads(1);
+  const std::int64_t worker_chunks0 = parallel::ThreadPool::instance().worker_chunks_run();
   std::vector<double> out(5000);
   parallel::parallel_for(out.size(), 16, [&](std::size_t b, std::size_t e, int) {
     for (std::size_t i = b; i < e; ++i) out[i] = static_cast<double>(i) * 0.5;
@@ -367,6 +384,7 @@ TEST(PoolProfile, SingleThreadInlineRegionsAreAccounted) {
   ASSERT_EQ(p.workers.size(), 1u);
   EXPECT_GT(p.workers[0].busy_ns, 0u);
   EXPECT_EQ(p.workers[0].chunks, parallel::plan_chunks(out.size(), 16).count);
+  EXPECT_EQ(parallel::ThreadPool::instance().worker_chunks_run(), worker_chunks0);
 }
 
 TEST(PoolProfile, DisabledMeansZeroAccounting) {
