@@ -8,7 +8,6 @@
 
 #include "bench_common.hpp"
 #include "core/report.hpp"
-#include "route/router.hpp"
 
 int main() {
   using namespace rp;
@@ -22,16 +21,14 @@ int main() {
     Design d = generate_benchmark(spec);
     PlacementFlow flow(routability ? routability_driven_options()
                                    : wirelength_driven_options());
-    flow.run(d);
+    const FlowResult r = flow.run(d);
 
+    // Both views read the grid the flow's eval stage routed.
     std::printf("\n--- %s ---\n", routability ? "routability-driven" : "wl-driven");
-    std::fputs(congestion_ascii(d, 64).c_str(), stdout);
+    std::fputs(congestion_ascii(d, *r.eval_grid, 64).c_str(), stdout);
 
     // Histogram of routed edge utilization.
-    RoutingGrid grid(d, true);
-    GlobalRouter router(grid);
-    router.route(d);
-    const auto utils = grid.edge_utilizations();
+    const auto utils = r.eval_grid->edge_utilizations();
     const double buckets[] = {0.5, 0.8, 0.95, 1.0, 1.05, 1.2, 10.0};
     const char* labels[] = {"<50%", "50-80%", "80-95%", "95-100%", "100-105%",
                             "105-120%", ">120%"};

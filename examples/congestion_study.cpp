@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     Design d = generate_benchmark(spec);  // identical instance per flow
     PlacementFlow flow(r.opt);
     r.res = flow.run(d);
-    r.map = congestion_ascii(d, 48);
+    r.map = congestion_ascii(d, *r.res.eval_grid, 48);
   }
 
   std::printf("%-24s %12s %12s %8s %8s %10s %8s\n", "flow", "HPWL", "scaledHPWL", "RC",

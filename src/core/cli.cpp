@@ -353,9 +353,9 @@ int run_cli(const CliConfig& cfg) {
   if (!r.snapshot_dir.empty())
     std::printf("  snapshots    %s\n", r.snapshot_dir.c_str());
   std::printf("\nruntime breakdown:\n%s\n", r.times.report().c_str());
-  if (cfg.show_map) {
+  if (cfg.show_map && r.eval_grid) {
     std::printf("\nrouted congestion ('#'>105%%, '+'>95%%, ':'>80%%, 'M' macro):\n%s",
-                congestion_ascii(d, 64).c_str());
+                congestion_ascii(d, *r.eval_grid, 64).c_str());
   }
   return r.eval.legality.ok() ? 0 : 1;
 }

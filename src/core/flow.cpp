@@ -136,19 +136,16 @@ FlowResult PlacementFlow::run(Design& d) {
   });
 
   if (!opt_.skip_eval) with_stage("eval", r.times, [&] {
+    // Route on a grid the result keeps, so the ROUTED (not just estimated)
+    // congestion picture lands in the snapshot and in congestion_ascii.
+    const RoutingGrid& grid = r.eval_grid.emplace(d, /*include_movable_macros=*/true);
+    r.eval = evaluate_placement(d, opt_.eval, *r.eval_grid);
     if (snap) {
-      // Route on a grid we keep, so the ROUTED (not just estimated)
-      // congestion picture lands in the snapshot.
-      RoutingGrid eval_grid(d, /*include_movable_macros=*/true);
-      r.eval = evaluate_placement(d, opt_.eval, eval_grid);
-      snap->record_grid("final", "demand", eval_grid.tile_demand());
-      snap->record_grid("final", "capacity", eval_grid.tile_capacity());
-      snap->record_grid("final", "overflow", eval_grid.tile_overflow());
-      snap->record_grid("final", "congestion", eval_grid.tile_congestion());
-      snap->record_grid("final", "displacement",
-                        displacement_map(d, gp_pos, eval_grid.map()));
-    } else {
-      r.eval = evaluate_placement(d, opt_.eval);
+      snap->record_grid("final", "demand", grid.tile_demand());
+      snap->record_grid("final", "capacity", grid.tile_capacity());
+      snap->record_grid("final", "overflow", grid.tile_overflow());
+      snap->record_grid("final", "congestion", grid.tile_congestion());
+      snap->record_grid("final", "displacement", displacement_map(d, gp_pos, grid.map()));
     }
     RP_INFO("eval: hpwl %.4e scaled %.4e RC %.1f overflow %.0f (%d edges) legal=%s",
             r.eval.hpwl, r.eval.scaled_hpwl, r.eval.congestion.rc,

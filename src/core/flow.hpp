@@ -14,6 +14,7 @@
 // identical machinery with every routability feature disabled.
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/global_placer.hpp"
@@ -60,6 +61,10 @@ struct FlowResult {
   LegalizeStats legal;
   DetailedPlaceStats dp;
   EvalResult eval;
+  /// The grid the eval stage routed (empty with skip_eval): its usage is
+  /// the routed congestion `eval` scores, for congestion_ascii and the
+  /// snapshot's final maps.
+  std::optional<RoutingGrid> eval_grid;
   StageTimes times;
   std::vector<GpTracePoint> gp_trace;
   std::string snapshot_dir;  ///< Where snapshots landed (empty: disabled).

@@ -34,10 +34,7 @@ EvalResult evaluate_placement(const Design& d, const EvalOptions& opt,
   return r;
 }
 
-std::string congestion_ascii(const Design& d, int max_cols) {
-  RoutingGrid grid(d, true);
-  GlobalRouter router(grid);
-  router.route(d);
+std::string congestion_ascii(const Design& d, const RoutingGrid& grid, int max_cols) {
   const Grid2D<double> cong = grid.tile_congestion();
 
   // Macro mask for display.

@@ -37,9 +37,11 @@ EvalResult evaluate_placement(const Design& d, const EvalOptions& opt = {});
 EvalResult evaluate_placement(const Design& d, const EvalOptions& opt,
                               RoutingGrid& grid);
 
-/// Render a congestion heat map as ASCII art (for Fig-6 style output).
-/// Characters: ' ' <50%, '.' <80%, ':' <95%, '+' <105%, '#' ≥105%, 'M' macro.
-std::string congestion_ascii(const Design& d, int max_cols = 64);
+/// Render the congestion heat map of a routed `grid` (FlowResult::eval_grid,
+/// or any grid a GlobalRouter routed for `d`) as ASCII art, for Fig-6 style
+/// output. Characters: ' ' <50%, '.' <80%, ':' <95%, '+' <105%, '#' ≥105%,
+/// 'M' fixed macro.
+std::string congestion_ascii(const Design& d, const RoutingGrid& grid, int max_cols = 64);
 
 // ---- tiny fixed-width table writer used by the bench binaries ----
 class TableWriter {

@@ -141,47 +141,62 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
 }
 
 double DensityModel::value(const PlaceProblem& p) {
+  const parallel::ChunkPlan plan = begin_value(p);
+  parallel::ThreadPool::instance().run(plan, [&](int ci, int w) { value_chunk(p, ci, w); });
+  return end_value();
+}
+
+void DensityModel::gradient(const PlaceProblem& p, std::span<double> gx,
+                            std::span<double> gy) {
+  const parallel::ChunkPlan plan = begin_gradient(p, gx, gy);
+  parallel::ThreadPool::instance().run(plan,
+                                       [&](int ci, int w) { gradient_chunk(p, ci, w, gx, gy); });
+}
+
+// Every node's work in each pass is one dispatched per-node kernel (see
+// simd::Ops::bell_splat / bell_gather): the bells are sampled once per node
+// into the worker's buffer, and the window's bin rows — contiguous in ix —
+// are updated or read in row order.
+
+parallel::ChunkPlan DensityModel::begin_value(const PlaceProblem& p) {
   if (p.nodes.size() != shape_x_.size())
     throw std::runtime_error("density eval: problem node count differs from the model's");
-  const auto nx = static_cast<std::size_t>(grid_.nx());
-  const auto nn = static_cast<std::size_t>(p.num_nodes());
   RP_COUNT("parallel.density_evals", 1);
-
-  // Every node's work in each pass is one dispatched per-node kernel (see
-  // simd::Ops::bell_splat / bell_gather): the bells are sampled once per
-  // node into the worker's buffer, and the window's bin rows — contiguous
-  // in ix — are updated or read in row order.
+  const auto nn = static_cast<std::size_t>(p.num_nodes());
   csum_.resize(nn);
   span_.resize(nn);
   size_samples();
+  pass1_ = node_chunks(nn);
+  return pass1_;
+}
 
-  // Pass 1: accumulate smoothed density, one scratch grid per node chunk;
-  // the per-node normalization c_v is cached for pass 2.
-  const parallel::ChunkPlan plan = node_chunks(nn);
-  parallel::ThreadPool::instance().run(plan, [&](int ci, int worker) {
-    const simd::Ops& ops = simd::ops();
-    double* scratch = samples_[static_cast<std::size_t>(worker)].data();
-    double* g = chunk_grid(ci).data().data();
-    for (std::size_t uv = plan.begin(ci); uv < plan.end(ci); ++uv) {
-      csum_[uv] = 0.0;
-      const auto& n = p.nodes[uv];
-      if (n.fixed) continue;
-      span_[uv] = bin_span(p, uv);
-      csum_[uv] = ops.bell_splat(window(p, uv, span_[uv]), n.area() * p.inflate[uv],
-                                 g + first_bin(span_[uv]), nx, scratch);
-    }
-  });
+// Pass 1: accumulate smoothed density, one scratch grid per node chunk; the
+// per-node normalization c_v is cached for pass 2.
+void DensityModel::value_chunk(const PlaceProblem& p, int ci, int worker) {
+  const simd::Ops& ops = simd::ops();
+  const auto nx = static_cast<std::size_t>(grid_.nx());
+  double* scratch = samples_[static_cast<std::size_t>(worker)].data();
+  double* g = chunk_grid(ci).data().data();
+  for (std::size_t uv = pass1_.begin(ci); uv < pass1_.end(ci); ++uv) {
+    csum_[uv] = 0.0;
+    const auto& n = p.nodes[uv];
+    if (n.fixed) continue;
+    span_[uv] = bin_span(p, uv);
+    csum_[uv] = ops.bell_splat(window(p, uv, span_[uv]), n.area() * p.inflate[uv],
+                               g + first_bin(span_[uv]), nx, scratch);
+  }
+}
 
-  // One pass over the bins: density = chunk grids summed per bin in
-  // ascending chunk order (clearing them for the next pass 1), residual
-  // (D-C)^+, and the penalty Σ residual² (a chunk-ordered reduction over
-  // bins).
-  const double penalty = parallel::parallel_reduce(
+// One pass over the bins: density = chunk grids summed per bin in ascending
+// chunk order (clearing them for the next pass 1), residual (D-C)^+, and the
+// penalty Σ residual² (a chunk-ordered reduction over bins).
+double DensityModel::end_value() {
+  return parallel::parallel_reduce(
       resid_.size(), kBinGrain, 0.0,
       [&](std::size_t b, std::size_t e, int) -> double {
         double* r = resid_.data().data();
         std::fill(r + b, r + e, 0.0);
-        for (int ci = 0; ci < plan.count; ++ci) {
+        for (int ci = 0; ci < pass1_.count; ++ci) {
           double* c = chunk_dens_[static_cast<std::size_t>(ci)].data().data();
           for (std::size_t i = b; i < e; ++i) {
             r[i] += c[i];
@@ -197,32 +212,35 @@ double DensityModel::value(const PlaceProblem& p) {
         return part;
       },
       [](double a, double b) { return a + b; });
-  return penalty;
 }
 
-void DensityModel::gradient(const PlaceProblem& p, std::span<double> gx,
-                            std::span<double> gy) {
+parallel::ChunkPlan DensityModel::begin_gradient(const PlaceProblem& p,
+                                                 std::span<const double> gx,
+                                                 std::span<const double> gy) {
   if (gx.size() != p.nodes.size() || gy.size() != p.nodes.size() ||
       csum_.size() != p.nodes.size())
     throw std::runtime_error("density gradient: size mismatch");
-  const auto nx = static_cast<std::size_t>(grid_.nx());
-  const auto nn = static_cast<std::size_t>(p.num_nodes());
   size_samples();
-  // Pass 2: gradients.  dN/dx_v = Σ_b 2·R_b · c_v · px'(cx-xb) · py.
-  // Embarrassingly parallel: every node writes only its own gradient slot.
-  parallel::parallel_for(nn, kNodeGrain, [&](std::size_t b, std::size_t e, int worker) {
-    const simd::Ops& ops = simd::ops();
-    double* scratch = samples_[static_cast<std::size_t>(worker)].data();
-    const double* resid = resid_.data().data();
-    for (std::size_t uv = b; uv < e; ++uv) {
-      if (p.nodes[uv].fixed || csum_[uv] == 0.0) continue;
-      double dgx = 0.0, dgy = 0.0;
-      ops.bell_gather(window(p, uv, span_[uv]), csum_[uv], resid + first_bin(span_[uv]), nx,
-                      scratch, &dgx, &dgy);
-      gx[uv] += dgx;
-      gy[uv] += dgy;
-    }
-  });
+  pass2_ = parallel::plan_chunks(p.nodes.size(), kNodeGrain);
+  return pass2_;
+}
+
+// Pass 2: gradients.  dN/dx_v = Σ_b 2·R_b · c_v · px'(cx-xb) · py.
+// Embarrassingly parallel: every node writes only its own gradient slot.
+void DensityModel::gradient_chunk(const PlaceProblem& p, int ci, int worker,
+                                  std::span<double> gx, std::span<double> gy) {
+  const simd::Ops& ops = simd::ops();
+  const auto nx = static_cast<std::size_t>(grid_.nx());
+  double* scratch = samples_[static_cast<std::size_t>(worker)].data();
+  const double* resid = resid_.data().data();
+  for (std::size_t uv = pass2_.begin(ci); uv < pass2_.end(ci); ++uv) {
+    if (p.nodes[uv].fixed || csum_[uv] == 0.0) continue;
+    double dgx = 0.0, dgy = 0.0;
+    ops.bell_gather(window(p, uv, span_[uv]), csum_[uv], resid + first_bin(span_[uv]), nx,
+                    scratch, &dgx, &dgy);
+    gx[uv] += dgx;
+    gy[uv] += dgy;
+  }
 }
 
 Grid2D<double> DensityModel::rasterized_density(const PlaceProblem& p) const {

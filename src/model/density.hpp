@@ -54,6 +54,24 @@ class DensityModel {
   /// coordinates of the last value() call, which p must still hold.
   void gradient(const PlaceProblem& p, std::span<double> gx, std::span<double> gy);
 
+  // The passes value() and gradient() are made of, for callers that run a
+  // pass in one pool job with other independent work. value() is
+  // begin_value, value_chunk for every chunk of the plan it returns, then
+  // end_value; gradient() is gradient_chunk for every chunk of
+  // begin_gradient's plan.
+  /// Checks p, counts one evaluation and returns pass 1's node chunk plan.
+  parallel::ChunkPlan begin_value(const PlaceProblem& p);
+  /// Pass 1 over node chunk ci: splats its nodes into the chunk's grid.
+  void value_chunk(const PlaceProblem& p, int ci, int worker);
+  /// The per-bin reduction (its own region): residuals and the penalty.
+  double end_value();
+  /// Checks the spans and returns pass 2's node chunk plan.
+  parallel::ChunkPlan begin_gradient(const PlaceProblem& p, std::span<const double> gx,
+                                     std::span<const double> gy);
+  /// Pass 2 over node chunk ci: adds each node's gradient to gx/gy.
+  void gradient_chunk(const PlaceProblem& p, int ci, int worker, std::span<double> gx,
+                      std::span<double> gy);
+
   /// Exact total overflow: Σ_b (rasterized_D_b - C_b)^+ / movable area.
   double overflow(const PlaceProblem& p) const;
 
@@ -91,6 +109,7 @@ class DensityModel {
   struct BinSpan {
     int ix0, ix1, iy0, iy1;
   };
+  parallel::ChunkPlan pass1_, pass2_;  ///< The node chunks of each pass.
   std::vector<double> csum_;   ///< Per-node bell normalization (pass 1 → 2).
   std::vector<BinSpan> span_;  ///< Per-node window of pass 1, reused by pass 2.
   /// Per-node x and y bell shapes. Node sizes are fixed for a model's

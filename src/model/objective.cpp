@@ -10,7 +10,7 @@ namespace rp {
 
 namespace {
 
-/// Elements per chunk of the element-wise glue (unpack, zeroing, combine).
+/// Elements per chunk of the element-wise glue (unpack, combine).
 constexpr std::size_t kElemGrain = 2048;
 
 }  // namespace
@@ -60,19 +60,30 @@ double PlacementObjective::eval(std::span<const double> z, std::span<double> gra
 
 double PlacementObjective::value(std::span<const double> z) {
   unpack(z);
-  const std::size_t nn = p_.nodes.size();
-  parallel::parallel_for(nn, kElemGrain, [&](std::size_t b, std::size_t e, int) {
-    std::fill(gx_.begin() + b, gx_.begin() + e, 0.0);
-    std::fill(gy_.begin() + b, gy_.begin() + e, 0.0);
-  });
-  last_wl_ = wl_.eval(p_, gx_, gy_);
-  last_density_ = lambda_ != 0.0 ? dens_.value(p_) : 0.0;
+  // Density pass 1 and the wirelength net pass read the same coordinates
+  // and write disjoint outputs, so they run as one pool job: the few fat
+  // splat chunks first, the many small net chunks filling the tail.
+  const bool with_density = lambda_ != 0.0;
+  const parallel::ChunkPlan splat = with_density ? dens_.begin_value(p_) : parallel::ChunkPlan{};
+  const parallel::ChunkPlan nets = wl_.begin_nets(p_, /*grad=*/true);
+  parallel::ThreadPool::instance().run_parts(
+      {{splat, [&](int c, int w) { dens_.value_chunk(p_, c, w); }},
+       {nets, [&](int c, int w) { wl_.net_chunk(p_, c, w); }}});
+  last_wl_ = wl_.end_nets(p_);
+  last_density_ = with_density ? dens_.end_value() : 0.0;
   return last_wl_ + lambda_ * last_density_;
 }
 
 void PlacementObjective::gradient(std::span<double> grad) {
+  // Density pass 2 and the wirelength gather (assigning, so gx_/gy_ need
+  // no zeroing pass) as one job, pass 2's heavier chunks first; then the
+  // combine.
   const bool with_density = lambda_ != 0.0;
-  if (with_density) dens_.gradient(p_, dx_, dy_);
+  const parallel::ChunkPlan pass2 =
+      with_density ? dens_.begin_gradient(p_, dx_, dy_) : parallel::ChunkPlan{};
+  parallel::ThreadPool::instance().run_parts(
+      {{pass2, [&](int c, int w) { dens_.gradient_chunk(p_, c, w, dx_, dy_); }},
+       {wl_.gather_plan(), [&](int c, int) { wl_.gather_chunk(c, gx_, gy_, false); }}});
   // grad = ∂WL + λ·∂N, packed (the λ == 0 path never reads dx_/dy_).
   const std::size_t m = movable_.size();
   parallel::parallel_for(m, kElemGrain, [&](std::size_t b, std::size_t e, int) {

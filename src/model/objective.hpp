@@ -31,13 +31,15 @@ class PlacementObjective {
   /// f(z) and its gradient: value(z), then gradient(grad).
   double eval(std::span<const double> z, std::span<double> grad);
 
-  /// f(z): writes z into the problem, evaluates the wirelength (with its
-  /// gradient, which the same kernel yields) and the density penalty
-  /// without its gradient. Records the separate WL / density values for
-  /// diagnostics.
+  /// f(z): writes z into the problem, then runs the wirelength net pass
+  /// (value and per-pin gradients, which the same kernel yields) and
+  /// density pass 1 as one pool job, then the per-bin reduction. Records
+  /// the separate WL / density values for diagnostics.
   double value(std::span<const double> z);
-  /// ∇f at the point of the last value() call: the density gradient (pass
-  /// 2 over the residuals value() left) combined with the wirelength's.
+  /// ∇f at the point of the last value() call: the wirelength's per-node
+  /// gather of the pin gradients value() left and density pass 2 over its
+  /// residuals, as one pool job, then the combine. Nothing may evaluate
+  /// the two models in between.
   void gradient(std::span<double> grad);
 
   /// λ such that ||∂WL||₁ == λ·||∂N||₁ at the current coordinates.
@@ -61,7 +63,7 @@ class PlacementObjective {
   double lambda_ = 0.0;
   double last_wl_ = 0.0;
   double last_density_ = 0.0;
-  std::vector<double> gx_, gy_;  // full-size scratch gradients
+  std::vector<double> gx_, gy_;  // full-size WL gradients (the gather assigns)
   // Density-gradient scratch (λ != 0 path). All zero between gradient()
   // calls: the density model writes only movable nodes, and the combine
   // clears each slot it reads.

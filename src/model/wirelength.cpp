@@ -1,7 +1,6 @@
 #include "model/wirelength.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -224,53 +223,6 @@ bool eval_chunk(const PlaceProblem& p, NetlistCsr& csr, const WlLaneLayout& lay,
   return true;
 }
 
-/// Parallel net-chunk evaluation; false when a chunk found the view stale.
-/// With WithGrad, per-pin gradients land in csr.pin_g (each pin
-/// written by exactly one chunk) and a second parallel pass gathers them
-/// into gx/gy per node in ascending pin order — both passes bitwise
-/// independent of the thread count.
-template <Smooth M, bool WithGrad>
-bool eval_csr(const PlaceProblem& p, NetlistCsr& c, const WlLaneLayout& lay,
-              std::vector<WlThreadScratch>& scratch, std::span<double> gx,
-              std::span<double> gy, double gamma, double* total) {
-  std::atomic<bool> stale{false};
-  const double sum = parallel::parallel_reduce(
-      static_cast<std::size_t>(c.num_nets), WirelengthModel::kNetGrain, 0.0,
-      [&](std::size_t b, std::size_t e, int worker) {
-        // The layout's chunk k is the one that starts at net b.
-        const auto k = static_cast<int>(
-            std::upper_bound(lay.first_net.begin(), lay.first_net.end(), b) -
-            lay.first_net.begin() - 1);
-        double part = 0.0;
-        if (!eval_chunk<M, WithGrad>(p, c, lay, k, b, e, gamma,
-                                     scratch[static_cast<std::size_t>(worker)], &part))
-          stale = true;
-        return part;
-      },
-      [](double x, double y) { return x + y; });
-  if (stale) return false;
-  *total = sum;
-  if (WithGrad) {
-    parallel::parallel_for(
-        static_cast<std::size_t>(c.num_nodes), kNodeGrain,
-        [&](std::size_t b, std::size_t e, int) {
-          for (std::size_t v = b; v < e; ++v) {
-            const int k0 = c.node_pin_offset[v];
-            const int k1 = c.node_pin_offset[v + 1];
-            double sx = 0.0, sy = 0.0;
-            for (int k = k0; k < k1; ++k) {
-              const auto pin = static_cast<std::size_t>(c.node_pin[static_cast<std::size_t>(k)]);
-              sx += c.pin_g[2 * pin];
-              sy += c.pin_g[2 * pin + 1];
-            }
-            gx[v] += sx;
-            gy[v] += sy;
-          }
-        });
-  }
-  return true;
-}
-
 }  // namespace
 
 void WlThreadScratch::ensure(std::size_t ncoords, std::size_t nexps, std::size_t extents,
@@ -341,40 +293,77 @@ NetlistCsr& WirelengthModel::prepare(const PlaceProblem& p, bool rebuild) const 
   return csr_;
 }
 
-double WirelengthModel::evaluate(const PlaceProblem& p, bool wa, bool grad,
-                                 std::span<double> gx, std::span<double> gy) const {
-  if (grad && (gx.size() != p.nodes.size() || gy.size() != p.nodes.size()))
-    throw std::runtime_error("wirelength eval: gradient span size mismatch");
+parallel::ChunkPlan WirelengthModel::begin_nets(const PlaceProblem& p, bool grad) const {
   RP_COUNT("parallel.wl_evals", 1);
-  const auto run = [&](NetlistCsr& c, double* total) {
-    if (wa)
-      return grad ? eval_csr<Smooth::Wa, true>(p, c, layout_, scratch_, gx, gy, gamma_, total)
-                  : eval_csr<Smooth::Wa, false>(p, c, layout_, scratch_, gx, gy, gamma_, total);
-    return grad ? eval_csr<Smooth::Lse, true>(p, c, layout_, scratch_, gx, gy, gamma_, total)
-                : eval_csr<Smooth::Lse, false>(p, c, layout_, scratch_, gx, gy, gamma_, total);
-  };
+  prepare(p, false);
+  pass_grad_ = grad;
+  const auto chunks = layout_.first_net.size() - 1;
+  part_.assign(chunks, 0.0);
+  fresh_.assign(chunks, 1);
+  return parallel::plan_chunks(static_cast<std::size_t>(csr_.num_nets), kNetGrain);
+}
+
+void WirelengthModel::net_chunk(const PlaceProblem& p, int k, int worker) const {
+  const auto kk = static_cast<std::size_t>(k);
+  const std::size_t b = layout_.first_net[kk], e = layout_.first_net[kk + 1];
+  WlThreadScratch& s = scratch_[static_cast<std::size_t>(worker)];
+  const auto chunk =
+      wa_ ? (pass_grad_ ? eval_chunk<Smooth::Wa, true> : eval_chunk<Smooth::Wa, false>)
+          : (pass_grad_ ? eval_chunk<Smooth::Lse, true> : eval_chunk<Smooth::Lse, false>);
+  fresh_[kk] = chunk(p, csr_, layout_, k, b, e, gamma_, s, &part_[kk]) ? 1 : 0;
+}
+
+double WirelengthModel::end_nets(const PlaceProblem& p) const {
+  if (std::find(fresh_.begin(), fresh_.end(), 0) != fresh_.end()) {
+    prepare(p, true);
+    const parallel::ChunkPlan plan =
+        parallel::plan_chunks(static_cast<std::size_t>(csr_.num_nets), kNetGrain);
+    parallel::ThreadPool::instance().run(plan, [&](int k, int w) { net_chunk(p, k, w); });
+  }
+  // Summed from +0 in chunk order, the association parallel_reduce uses.
   double total = 0.0;
-  if (!run(prepare(p, false), &total)) run(prepare(p, true), &total);
+  for (const double part : part_) total += part;
   return total;
 }
 
-double LseWirelength::eval(const PlaceProblem& p, std::span<double> gx,
-                           std::span<double> gy) const {
-  return evaluate(p, false, true, gx, gy);
+parallel::ChunkPlan WirelengthModel::gather_plan() const {
+  return parallel::plan_chunks(static_cast<std::size_t>(csr_.num_nodes), kNodeGrain);
 }
 
-double LseWirelength::value(const PlaceProblem& p) const {
-  return evaluate(p, false, false, {}, {});
+void WirelengthModel::gather_chunk(int k, std::span<double> gx, std::span<double> gy,
+                                   bool accumulate) const {
+  const parallel::ChunkPlan plan = gather_plan();
+  for (std::size_t v = plan.begin(k); v < plan.end(k); ++v) {
+    const int k0 = csr_.node_pin_offset[v];
+    const int k1 = csr_.node_pin_offset[v + 1];
+    double sx = 0.0, sy = 0.0;
+    for (int i = k0; i < k1; ++i) {
+      const auto pin = static_cast<std::size_t>(csr_.node_pin[static_cast<std::size_t>(i)]);
+      sx += csr_.pin_g[2 * pin];
+      sy += csr_.pin_g[2 * pin + 1];
+    }
+    gx[v] = (accumulate ? gx[v] : 0.0) + sx;
+    gy[v] = (accumulate ? gy[v] : 0.0) + sy;
+  }
 }
 
-double WaWirelength::eval(const PlaceProblem& p, std::span<double> gx,
-                          std::span<double> gy) const {
-  return evaluate(p, true, true, gx, gy);
+double WirelengthModel::run_nets(const PlaceProblem& p, bool grad) const {
+  const parallel::ChunkPlan plan = begin_nets(p, grad);
+  parallel::ThreadPool::instance().run(plan, [&](int k, int w) { net_chunk(p, k, w); });
+  return end_nets(p);
 }
 
-double WaWirelength::value(const PlaceProblem& p) const {
-  return evaluate(p, true, false, {}, {});
+double WirelengthModel::eval(const PlaceProblem& p, std::span<double> gx,
+                             std::span<double> gy) const {
+  if (gx.size() != p.nodes.size() || gy.size() != p.nodes.size())
+    throw std::runtime_error("wirelength eval: gradient span size mismatch");
+  const double total = run_nets(p, true);
+  parallel::ThreadPool::instance().run(gather_plan(),
+                                       [&](int k, int) { gather_chunk(k, gx, gy, true); });
+  return total;
 }
+
+double WirelengthModel::value(const PlaceProblem& p) const { return run_nets(p, false); }
 
 std::unique_ptr<WirelengthModel> make_wirelength_model(const std::string& name,
                                                        double gamma) {

@@ -22,10 +22,16 @@
 // per-pin gradients into pin-owned slots (race-free), the value is reduced
 // in fixed chunk order, and a second parallel pass gathers per-node
 // gradients over each node's pin list in ascending pin order — so results
-// are bitwise identical for any thread count. Each chunk is one batched
-// kernel: it stages its nets' pin coordinates (read straight from the node
-// centres and pin offsets) and exp arguments, runs a single vector exp over
-// the chunk, then finishes every net. Nets of degree 2..kLaneMaxDegree are
+// are bitwise identical for any thread count. The two passes are public
+// (begin_nets / net_chunk / end_nets, then gather_chunk), so a caller can
+// run each in one pool job with other independent work; eval() and value()
+// are compositions of the same passes. The per-pin gradients stay in the
+// model until the next net pass, so the gather may come later.
+//
+// Each net chunk is one batched kernel: it stages its nets' pin
+// coordinates (read straight from the node centres and pin offsets) and exp
+// arguments, runs a single vector exp over the chunk, then finishes every
+// net. Nets of degree 2..kLaneMaxDegree are
 // staged four of one degree side by side, one net per SIMD lane, and run
 // through the dispatched simd::Ops net_lanes kernels; larger nets run the
 // scalar level's 4-lane reduction tree inline. Either way each net gets
@@ -46,6 +52,7 @@
 
 #include "model/netlist_csr.hpp"
 #include "model/problem.hpp"
+#include "util/parallel.hpp"
 
 namespace rp {
 
@@ -96,28 +103,46 @@ class WirelengthModel {
   virtual ~WirelengthModel() = default;
   virtual std::string name() const = 0;
   /// Smoothed wirelength + gradient accumulation. gx/gy sized num_nodes.
-  virtual double eval(const PlaceProblem& p, std::span<double> gx,
-                      std::span<double> gy) const = 0;
+  double eval(const PlaceProblem& p, std::span<double> gx, std::span<double> gy) const;
   /// Value only — skips every gradient store and the node gather pass.
-  virtual double value(const PlaceProblem& p) const = 0;
+  double value(const PlaceProblem& p) const;
+
+  // The two passes of eval(): the net pass is begin_nets, net_chunk for
+  // every chunk of the plan it returns, then end_nets; the gather pass is
+  // gather_chunk for every chunk of gather_plan().
+  /// Prepares the view of p, counts one evaluation and returns the net
+  /// chunk plan. With `grad` the chunks store per-pin gradients, which the
+  /// model keeps for the gather until the next begin_nets.
+  parallel::ChunkPlan begin_nets(const PlaceProblem& p, bool grad) const;
+  /// Evaluates net chunk k on pool worker `worker`.
+  void net_chunk(const PlaceProblem& p, int k, int worker) const;
+  /// The value: the chunk values summed in chunk order. If a chunk found
+  /// the view stale, rebuilds it and reruns the net pass (its own region).
+  double end_nets(const PlaceProblem& p) const;
+  /// Node chunks of the gather over the last net pass's pin gradients.
+  parallel::ChunkPlan gather_plan() const;
+  /// Per node v of chunk k: g[v] += Σ its pin gradients in ascending pin
+  /// order, or g[v] = 0.0 + Σ when !accumulate (the bits of zeroing first).
+  void gather_chunk(int k, std::span<double> gx, std::span<double> gy, bool accumulate) const;
 
   virtual void set_gamma(double g) { gamma_ = g; }
   double gamma() const { return gamma_; }
 
  protected:
-  double gamma_ = 1.0;
+  /// wa: the weighted-average model, else log-sum-exp.
+  explicit WirelengthModel(bool wa, double gamma) : gamma_(gamma), wa_(wa) {}
 
-  /// Both models' evaluation: WA or LSE, with per-node gradients
-  /// accumulated into gx/gy when `grad`.
-  double evaluate(const PlaceProblem& p, bool wa, bool grad, std::span<double> gx,
-                  std::span<double> gy) const;
+  double gamma_ = 1.0;
 
  private:
   /// CSR view and lane layout of p, rebuilt when `rebuild` or the problem
   /// shape (node/pin/net counts) changes; also sizes the per-thread
   /// scratch to the current pool width and the largest chunk.
   NetlistCsr& prepare(const PlaceProblem& p, bool rebuild) const;
+  /// begin_nets, every chunk as one region, end_nets.
+  double run_nets(const PlaceProblem& p, bool grad) const;
 
+  bool wa_;
   mutable NetlistCsr csr_;
   mutable WlLaneLayout layout_;
   mutable bool csr_valid_ = false;
@@ -125,24 +150,24 @@ class WirelengthModel {
   mutable std::size_t chunk_coords_ = 0, chunk_exps_ = 0, chunk_extents_ = 0;
   mutable std::size_t chunk_nets_ = 0;  ///< Largest chunk's net count.
   mutable std::vector<WlThreadScratch> scratch_;
+  // The net pass in flight: with pin gradients or not, and per chunk its
+  // weighted value and whether it found the view current (each chunk
+  // writes only its own slots).
+  mutable bool pass_grad_ = false;
+  mutable std::vector<double> part_;
+  mutable std::vector<unsigned char> fresh_;
 };
 
 class LseWirelength final : public WirelengthModel {
  public:
-  explicit LseWirelength(double gamma = 1.0) { gamma_ = gamma; }
+  explicit LseWirelength(double gamma = 1.0) : WirelengthModel(false, gamma) {}
   std::string name() const override { return "LSE"; }
-  double eval(const PlaceProblem& p, std::span<double> gx,
-              std::span<double> gy) const override;
-  double value(const PlaceProblem& p) const override;
 };
 
 class WaWirelength final : public WirelengthModel {
  public:
-  explicit WaWirelength(double gamma = 1.0) { gamma_ = gamma; }
+  explicit WaWirelength(double gamma = 1.0) : WirelengthModel(true, gamma) {}
   std::string name() const override { return "WA"; }
-  double eval(const PlaceProblem& p, std::span<double> gx,
-              std::span<double> gy) const override;
-  double value(const PlaceProblem& p) const override;
 };
 
 std::unique_ptr<WirelengthModel> make_wirelength_model(const std::string& name,

@@ -129,9 +129,9 @@ struct ThreadPool::Impl {
   static constexpr std::uint64_t kLeftMask = 0xffffffffu;
 
   // Current job (written by the submitter before it publishes `cursor`).
-  int job_count = 0;
+  int job_count = 0;            // chunks over all parts
   bool job_instrument = false;  // time chunks into the worker slots
-  const std::function<void(int, int)>* fn = nullptr;
+  const JobPart* job_parts = nullptr;
 
   // ---------------------------------------------------------- observability
   // Pre-allocated per-worker region scratch (sized at resize()): each worker
@@ -203,20 +203,25 @@ struct ThreadPool::Impl {
     std::uint64_t cur = cursor.load();
     int ran = 0, count = 0;
     bool instrument = false;
+    const JobPart* parts = nullptr;
     while ((cur & ~kLeftMask) == tagged && (cur & kLeftMask) != 0) {
       if (!cursor.compare_exchange_weak(cur, cur - 1)) continue;
       if (ran == 0) {  // job fields are stable until this chunk is done
         count = job_count;
         instrument = job_instrument;
+        parts = job_parts;
         t_in_region = true;
       }
-      const int c = count - static_cast<int>(cur & kLeftMask);
+      // The job's c-th chunk, as a chunk index of its own part.
+      int c = count - static_cast<int>(cur & kLeftMask);
+      const JobPart* part = parts;
+      while (c >= part->plan.count) c -= (part++)->plan.count;
       if (instrument) {
         const std::uint64_t t0 = profiler::now_ns();
-        (*fn)(c, worker);
+        part->fn(c, worker);
         slots[static_cast<std::size_t>(worker)].time_chunk(profiler::now_ns() - t0);
       } else {
-        (*fn)(c, worker);
+        part->fn(c, worker);
       }
       ++ran;
       cur = cursor.load();
@@ -295,13 +300,15 @@ void ThreadPool::worker_loop(int worker_id, std::uint32_t seen) {
   }
 }
 
-void ThreadPool::run(const ChunkPlan& plan, const std::function<void(int, int)>& fn) {
-  if (plan.count <= 0) return;
+void ThreadPool::run_parts(std::initializer_list<JobPart> parts) {
+  int count = 0;
+  for (const JobPart& p : parts) count += p.plan.count;
+  if (count <= 0) return;
   regions_.fetch_add(1, std::memory_order_relaxed);
-  chunks_.fetch_add(plan.count, std::memory_order_relaxed);
+  chunks_.fetch_add(count, std::memory_order_relaxed);
   // Inline paths: single chunk, single-threaded pool, or nested region.
-  // Ascending chunk order keeps results identical to the pooled path.
-  if (plan.count == 1 || threads_ == 1 || t_in_region) {
+  // Part order, then ascending chunk order, as the pooled path queues them.
+  if (count == 1 || threads_ == 1 || t_in_region) {
     const bool was_in_region = t_in_region;  // nested: stay flagged on exit
     // Nested regions are already inside a timed chunk — instrumenting them
     // would double-count busy time, so only top-level regions are profiled.
@@ -311,16 +318,18 @@ void ThreadPool::run(const ChunkPlan& plan, const std::function<void(int, int)>&
       std::unique_lock<std::mutex> submit_lk(impl_->submit_m);
       Impl::WorkerSlot& slot = impl_->slots[0];
       const std::uint64_t r0 = profiler::now_ns();
-      for (int c = 0; c < plan.count; ++c) {
-        const std::uint64_t t0 = profiler::now_ns();
-        fn(c, 0);
-        slot.time_chunk(profiler::now_ns() - t0);
-      }
+      for (const JobPart& p : parts)
+        for (int c = 0; c < p.plan.count; ++c) {
+          const std::uint64_t t0 = profiler::now_ns();
+          p.fn(c, 0);
+          slot.time_chunk(profiler::now_ns() - t0);
+        }
       const std::uint64_t wall = profiler::now_ns() - r0;
       t_in_region = was_in_region;
       impl_->fold_region(wall, /*nworkers=*/1);
     } else {
-      for (int c = 0; c < plan.count; ++c) fn(c, 0);
+      for (const JobPart& p : parts)
+        for (int c = 0; c < p.plan.count; ++c) p.fn(c, 0);
       t_in_region = was_in_region;
     }
     return;
@@ -330,8 +339,7 @@ void ThreadPool::run(const ChunkPlan& plan, const std::function<void(int, int)>&
   // fully completes (including its profile fold).
   std::unique_lock<std::mutex> submit_lk(s.submit_m);
   const std::uint64_t r0 = g_pool_profiling ? profiler::now_ns() : 0;
-  const int count = plan.count;
-  s.fn = &fn;
+  s.job_parts = parts.begin();
   s.job_count = count;
   s.job_instrument = g_pool_profiling;
   s.done.store(0);

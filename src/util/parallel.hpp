@@ -29,9 +29,10 @@
 // Registry or the Logger. Kernels bump their counters from the caller.
 
 #include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
 #include <vector>
 
 namespace rp::parallel {
@@ -117,6 +118,29 @@ void set_pool_profiling(bool on);
 PoolProfile pool_profile();
 void reset_pool_profile();
 
+/// Non-owning reference to a chunk body fn(chunk, worker) (the function_ref
+/// idiom): binds any callable without allocating, and must not outlive it —
+/// build it in the call that runs it, as run(plan, [&](int c, int w) {...})
+/// does.
+class ChunkFn {
+ public:
+  template <typename F>
+    requires(!std::same_as<F, ChunkFn> && std::invocable<const F&, int, int>)
+  ChunkFn(const F& f)  // NOLINT(google-explicit-constructor): binds lambdas in place
+      : obj_(&f), call_([](const void* o, int c, int w) { (*static_cast<const F*>(o))(c, w); }) {}
+  void operator()(int c, int w) const { call_(obj_, c, w); }
+
+ private:
+  const void* obj_;
+  void (*call_)(const void*, int, int);
+};
+
+/// One part of a multi-part job: fn(c, worker) for every chunk c of plan.
+struct JobPart {
+  ChunkPlan plan;
+  ChunkFn fn;
+};
+
 /// Fixed-size pool of persistent workers. Thread 0 is the CALLER: a region
 /// with T threads runs on T-1 workers plus the submitting thread, so
 /// `threads() == 1` means fully inline execution.
@@ -143,7 +167,17 @@ class ThreadPool {
   /// worker 0. Chunk->worker assignment is dynamic (and irrelevant to the
   /// result); chunk outputs must be disjoint. Nested calls from inside a
   /// region run inline on the current thread, in ascending chunk order.
-  void run(const ChunkPlan& plan, const std::function<void(int, int)>& fn);
+  void run(const ChunkPlan& plan, ChunkFn fn) { run_parts({{plan, fn}}); }
+
+  /// Execute independent parts as ONE job (one region, one fork-join):
+  /// part.fn(c, worker) for every chunk c of every part.plan, each chunk
+  /// under its index in its own plan, so per-part chunk-ordered combines are
+  /// unchanged and results stay bit-identical for any thread count. Chunks
+  /// are queued part by part in the order given (put fat chunks first, so
+  /// small ones fill the tail); inline runs take them in that order, each
+  /// part's in ascending order. Chunks of different parts run concurrently,
+  /// so their outputs must be disjoint too. Empty plans are allowed.
+  void run_parts(std::initializer_list<JobPart> parts);
 
   // Lifetime-stable counters for the run report (atomic: concurrent
   // submitters from distinct ObsContexts share the pool).
@@ -177,7 +211,7 @@ template <typename Body>
 void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
   const ChunkPlan plan = plan_chunks(n, grain);
   if (plan.count == 0) return;
-  if (plan.count == 1) {  // Inline fast path: no pool, no std::function.
+  if (plan.count == 1) {  // Inline fast path: no pool round trip.
     body(std::size_t{0}, n, 0);
     return;
   }

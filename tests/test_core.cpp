@@ -243,7 +243,9 @@ TEST_F(CoreTest, TableWriterFormatting) {
 
 TEST_F(CoreTest, CongestionAsciiProducesMap) {
   Design d = generate_benchmark(tiny_spec(56));
-  const std::string map = congestion_ascii(d, 32);
+  RoutingGrid grid(d, true);
+  GlobalRouter(grid).route(d);
+  const std::string map = congestion_ascii(d, grid, 32);
   EXPECT_FALSE(map.empty());
   // One line per (aggregated) tile row, '\n' terminated.
   EXPECT_EQ(map.back(), '\n');

@@ -98,7 +98,25 @@ TEST_F(FlowTest, SkipFlagsShortenFlow) {
   const FlowResult r = flow.run(d);
   EXPECT_DOUBLE_EQ(r.dp.hpwl_before, 0.0);  // DP never ran
   EXPECT_DOUBLE_EQ(r.eval.hpwl, 0.0);       // eval never ran
+  EXPECT_FALSE(r.eval_grid.has_value());
   EXPECT_DOUBLE_EQ(r.times.get("detailed"), 0.0);
+}
+
+TEST_F(FlowTest, EvalGridIsTheGridEvalScored) {
+  // --map, bench_fig6 and the snapshot's final maps read the grid the eval
+  // stage routed instead of routing the placement again, so that grid must
+  // be the routed picture `eval` scores, and routing the final placement
+  // once more must reproduce it.
+  Design d = generate_benchmark(tiny_spec(61));
+  const FlowResult r = PlacementFlow(routability_driven_options()).run(d);
+  ASSERT_TRUE(r.eval_grid.has_value());
+  const CongestionMetrics m = congestion_metrics(*r.eval_grid);
+  EXPECT_EQ(m.rc, r.eval.congestion.rc);
+  EXPECT_EQ(m.total_overflow, r.eval.congestion.total_overflow);
+  EXPECT_EQ(r.eval_grid->used_wirelength(), r.eval.route.wirelength);
+  RoutingGrid again(d, /*include_movable_macros=*/true);
+  GlobalRouter(again).route(d);
+  EXPECT_EQ(congestion_ascii(d, *r.eval_grid, 48), congestion_ascii(d, again, 48));
 }
 
 TEST_F(FlowTest, MacrosEndUpFixedAndNonOverlapping) {

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "gen/generator.hpp"
 #include "model/density.hpp"
 #include "model/objective.hpp"
 #include "model/wirelength.hpp"
 #include "util/logger.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace rp {
 namespace {
@@ -386,6 +389,96 @@ TEST(Objective, BalancedLambdaEquatesGradientNorms) {
   const double lam = obj.balanced_lambda();
   EXPECT_GT(lam, 0.0);
   EXPECT_TRUE(std::isfinite(lam));
+}
+
+/// f(z) and ∇f(z) the way the two models compute them alone: z written by
+/// a throwaway objective (the same clamp), fresh models, WaWirelength::eval
+/// and DensityModel::eval into zeroed arrays, then the objective's combine
+/// grad = ∂WL + λ·∂N over the movable nodes.
+double reference_eval(const PlaceProblem& start, double gamma, double lambda,
+                      const std::vector<double>& z, std::vector<double>& grad) {
+  PlaceProblem p = start;
+  WaWirelength wl(gamma);
+  DensityModel dm(p, DensityConfig{});
+  PlacementObjective writer(p, wl, dm);
+  writer.unpack(z);
+  const std::size_t n = p.nodes.size();
+  std::vector<double> gx(n, 0.0), gy(n, 0.0), dx(n, 0.0), dy(n, 0.0);
+  const double w = wl.eval(p, gx, gy);
+  const double d = dm.eval(p, dx, dy);
+  const std::vector<int>& mv = writer.movable();
+  const std::size_t m = mv.size();
+  grad.assign(2 * m, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto v = static_cast<std::size_t>(mv[i]);
+    grad[i] = gx[v] + lambda * dx[v];
+    grad[m + i] = gy[v] + lambda * dy[v];
+  }
+  return w + lambda * d;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Objective, CoScheduledPassesMatchTheModelsBitForBit) {
+  // value() runs the wirelength net pass and density pass 1 as one pool
+  // job, gradient() the wirelength gather and density pass 2 as another;
+  // both must keep the bits of the two models evaluated on their own. A
+  // rejected line-search trial (value at z1, then value at z2) must leave
+  // gradient() with the bits of a fresh evaluation at z2.
+  Logger::set_level(LogLevel::Warn);
+  const Design d = generate_benchmark(medium_spec(5));
+  PlaceProblem start = make_problem(d);
+  Rng rng(17);
+  for (std::size_t v = 0; v < start.nodes.size(); ++v)
+    if (!start.nodes[v].fixed) {
+      start.x[v] = rng.uniform(start.die.lx, start.die.hx);
+      start.y[v] = rng.uniform(start.die.ly, start.die.hy);
+    }
+  const double step = (start.die.hx - start.die.lx) / 64;
+  const double gamma = step;
+  for (const auto& [level, threads] : {std::pair{"off", 1}, std::pair{"off", 4},
+                                        std::pair{"auto", 1}, std::pair{"auto", 4}}) {
+    simd::set_from_string(level);
+    parallel::set_num_threads(threads);
+    PlaceProblem p = start;
+    WaWirelength wl(gamma);
+    DensityModel dm(p, DensityConfig{});
+    PlacementObjective obj(p, wl, dm);
+    obj.set_lambda(obj.balanced_lambda());
+    ASSERT_GT(obj.lambda(), 0.0);
+    const std::vector<double> z1 = obj.pack();
+    std::vector<double> z2 = z1;
+    for (double& x : z2) x += rng.uniform(-step, step);
+
+    std::vector<double> want(z1.size()), got(z1.size());
+    const double f1 = reference_eval(start, gamma, obj.lambda(), z1, want);
+    const parallel::ThreadPool& pool = parallel::ThreadPool::instance();
+    const std::int64_t r0 = pool.regions_run();
+    const double g1 = obj.value(z1);
+    const std::int64_t r1 = pool.regions_run();
+    obj.gradient(got);
+    const std::int64_t r2 = pool.regions_run();
+    EXPECT_EQ(std::memcmp(&f1, &g1, sizeof f1), 0) << level << " t=" << threads;
+    EXPECT_TRUE(same_bits(got, want)) << level << " t=" << threads;
+    // One value: unpack, the [splat ∪ nets] job, the bin reduce. One
+    // gradient: the [pass 2 ∪ gather] job, the combine.
+    EXPECT_EQ(r1 - r0, 3) << level << " t=" << threads;
+    EXPECT_EQ(r2 - r1, 2) << level << " t=" << threads;
+
+    // A rejected trial at z1 (+1 in x), then the accepted z2.
+    std::vector<double> z_rej = z1;
+    for (double& x : z_rej) x += 1.0;
+    obj.value(z_rej);
+    const double g2 = obj.value(z2);
+    obj.gradient(got);
+    const double f2 = reference_eval(start, gamma, obj.lambda(), z2, want);
+    EXPECT_EQ(std::memcmp(&f2, &g2, sizeof f2), 0) << level << " t=" << threads;
+    EXPECT_TRUE(same_bits(got, want)) << level << " t=" << threads;
+  }
+  simd::set_from_string("auto");
+  parallel::set_num_threads(1);
 }
 
 }  // namespace

@@ -307,6 +307,111 @@ TEST(ThreadPool, ConcurrentSubmittersGetTheirOwnResults) {
   EXPECT_EQ(std::memcmp(got_b.data(), ref_b.data(), ref_b.size() * sizeof(double)), 0);
 }
 
+// ------------------------------------------------- multi-part jobs
+// run_parts queues several chunk plans as one job. Each chunk runs under its
+// index in its own plan, so per-part chunk-ordered combines keep their bits.
+
+/// Sums of v over each part's chunks, from one job of three parts (8 fat
+/// chunks, an empty plan, then `small` chunks) or from one region per part.
+/// Fails the test unless every chunk ran exactly once, under its own index.
+std::vector<double> run_parts_sums(const std::vector<double>& v, int small, bool one_job) {
+  const parallel::ChunkPlan fat = parallel::plan_chunks(v.size(), v.size() / 8);
+  const parallel::ChunkPlan none{};
+  const parallel::ChunkPlan thin = parallel::plan_chunks(v.size(), 1, small);
+  std::vector<double> pf(static_cast<std::size_t>(fat.count));
+  std::vector<double> pt(static_cast<std::size_t>(thin.count));
+  std::vector<int> hf(pf.size()), ht(pt.size());
+  std::atomic<int> stray{0};
+  const int threads = parallel::num_threads();
+  const auto part = [&](const parallel::ChunkPlan& plan, std::vector<double>& out,
+                        std::vector<int>& hits) {
+    return [&v, &stray, threads, plan, o = out.data(), h = hits.data()](int c, int w) {
+      if (c < 0 || c >= plan.count || w < 0 || w >= threads) {
+        stray.fetch_add(1);
+        return;
+      }
+      ++h[c];
+      double sum = 0.0;
+      for (std::size_t i = plan.begin(c); i < plan.end(c); ++i) sum += v[i];
+      o[c] = sum;
+    };
+  };
+  const auto f = part(fat, pf, hf);
+  const auto t = part(thin, pt, ht);
+  const auto never = [&](int, int) { stray.fetch_add(1); };
+  parallel::ThreadPool& pool = parallel::ThreadPool::instance();
+  if (one_job) {
+    pool.run_parts({{fat, f}, {none, never}, {thin, t}});
+  } else {
+    pool.run(fat, f);
+    pool.run(thin, t);
+  }
+  EXPECT_EQ(stray.load(), 0);
+  for (const int h : hf) EXPECT_EQ(h, 1);
+  for (const int h : ht) EXPECT_EQ(h, 1);
+  double sf = 0.0, st = 0.0;
+  for (const double x : pf) sf += x;
+  for (const double x : pt) st += x;
+  return {sf, st};
+}
+
+TEST(ThreadPool, MultiPartJobRunsEachChunkOnceAndMatchesSeparateRegions) {
+  PoolGuard guard;
+  const std::vector<double> v = mixed_values(64 * 8, 11);
+  parallel::set_num_threads(1);
+  const std::vector<double> ref = run_parts_sums(v, 64, false);
+  for (const int threads : {1, 2, 4, 8}) {
+    parallel::set_num_threads(threads);
+    const parallel::ThreadPool& pool = parallel::ThreadPool::instance();
+    for (int rep = 0; rep < 500; ++rep) {
+      const int small = 2 + (rep * 37) % 63;
+      const std::vector<double> sep = run_parts_sums(v, small, false);
+      const std::int64_t regions0 = pool.regions_run(), chunks0 = pool.chunks_run();
+      const std::vector<double> got = run_parts_sums(v, small, true);
+      // One job is one region, with every part's chunks.
+      EXPECT_EQ(pool.regions_run() - regions0, 1);
+      EXPECT_EQ(pool.chunks_run() - chunks0, 8 + small);
+      ASSERT_EQ(got.size(), 2u);
+      EXPECT_EQ(std::memcmp(got.data(), sep.data(), 2 * sizeof(double)), 0)
+          << "threads=" << threads << " rep=" << rep;
+      EXPECT_EQ(std::memcmp(&got[0], &ref[0], sizeof(double)), 0) << "threads=" << threads;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+/// The (part, chunk) sequence of an inline job of a 3-chunk, an empty and a
+/// 2-chunk part.
+std::vector<std::pair<int, int>> inline_order() {
+  std::vector<std::pair<int, int>> seq;
+  const auto rec = [&](int part) {
+    return [&seq, part](int c, int w) {
+      EXPECT_EQ(w, 0);
+      seq.emplace_back(part, c);
+    };
+  };
+  const auto p0 = rec(0), p1 = rec(1), p2 = rec(2);
+  parallel::ThreadPool::instance().run_parts({{parallel::plan_chunks(3, 1), p0},
+                                              {parallel::ChunkPlan{}, p1},
+                                              {parallel::plan_chunks(2, 1), p2}});
+  return seq;
+}
+
+TEST(ThreadPool, InlineMultiPartJobsRunInPartThenChunkOrder) {
+  PoolGuard guard;
+  const std::vector<std::pair<int, int>> want = {{0, 0}, {0, 1}, {0, 2}, {2, 0}, {2, 1}};
+  parallel::set_num_threads(1);
+  EXPECT_EQ(inline_order(), want);
+  // Nested in a region of a 4-thread pool, each outer chunk runs the job
+  // inline on its own thread.
+  parallel::set_num_threads(4);
+  std::vector<std::vector<std::pair<int, int>>> nested(8);
+  parallel::parallel_for(8, 1, [&](std::size_t b, std::size_t e, int) {
+    for (std::size_t i = b; i < e; ++i) nested[i] = inline_order();
+  });
+  for (const auto& seq : nested) EXPECT_EQ(seq, want);
+}
+
 // ---- pool busy/wait accounting (perfbench's parallel.* metrics) ----
 
 /// RAII: pool accounting on and zeroed for one test, off and zeroed after.
