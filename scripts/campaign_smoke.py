@@ -4,7 +4,7 @@
 Drives scripts/campaign.py over the real routplace binary and checks:
 
   * an 8-run 2x2x2-seed campaign exits 0 with every run's artifacts
-    (report.json at schema_version 5 with a positive peak_rss_kb,
+    (report.json at schema_version 6 with a positive peak_rss_kb,
     status.json, out.pl, the two logs);
   * re-running the finished directory resumes all 8 runs and leaves
     campaign.json byte-identical; editing one status.json's args, and
@@ -78,8 +78,8 @@ def validate_run_dirs(camp_dir, runs):
             check((rdir / name).exists(), f"{r['id']}: missing {name}")
         if (rdir / "report.json").exists():
             report = json.loads((rdir / "report.json").read_text())
-            check(report.get("schema_version") == 5,
-                  f"{r['id']}: report schema_version != 5")
+            check(report.get("schema_version") == 6,
+                  f"{r['id']}: report schema_version != 6")
             check(report.get("peak_rss_kb", 0) > 0,
                   f"{r['id']}: peak_rss_kb not positive")
 

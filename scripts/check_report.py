@@ -15,8 +15,10 @@ a small generated design and validates:
   * the absence of the "profile", "resources" and "gauges" blocks (an old
     v2 profiler block, an old v5 sampled timeline and the named values that
     copied eval/gp fields, none of them written any more);
-  * the snapshot directory: manifest schema, grid-file sizes matching the
-    declared dimensions, and the convergence history schema;
+  * the GP history: gp_trace points (with gamma) and one gp_rounds record
+    per routability round, numbered 1..n, n = gp.inflation_rounds;
+  * the snapshot directory: manifest schema 2 (maps only) and grid-file
+    sizes matching the declared dimensions;
   * the failure contract (schema v3): a malformed Bookshelf benchmark must
     exit 3 (ParseError) and still write a report whose "error" block carries
     code/message/where (file:line)/stage/exit_code, plus a "parse" block with
@@ -31,11 +33,12 @@ Exit code 0 on success; prints every failed expectation otherwise.
 import json
 import math
 import re
-import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from render_report import read_grid
 
 FAILURES = []
 
@@ -79,14 +82,15 @@ def expect_keys(obj, keys, where):
 def validate_report(report, stdout_text):
     expect_keys(report, [
         "schema_version", "tool", "build", "design", "mode", "parallel",
-        "options", "eval", "gp", "gp_trace", "macro_legal", "legal", "dp",
+        "options", "eval", "gp", "gp_trace", "gp_rounds", "macro_legal",
+        "legal", "dp",
         "stage_times", "stage_total_sec", "counters", "peak_rss_kb",
         "snapshot_dir",
     ], "report")
     if FAILURES:
         return
 
-    check(report["schema_version"] == 5, "report: schema_version != 5")
+    check(report["schema_version"] == 6, "report: schema_version != 6")
     check(report["tool"] == "routplace", "report: tool != routplace")
 
     # v4: the event-bus totals block.
@@ -159,9 +163,23 @@ def validate_report(report, stdout_text):
     check(gp["total_outer"] > 0, "report.gp.total_outer not positive")
     check(len(report["gp_trace"]) >= gp["levels"],
           "report.gp_trace shorter than the level count")
-    for pt in report["gp_trace"][:3]:
+    for i, pt in enumerate(report["gp_trace"]):
         expect_keys(pt, ["level", "outer", "hpwl", "overflow", "lambda",
-                         "inflation"], "report.gp_trace[i]")
+                         "gamma", "inflation"], f"report.gp_trace[{i}]")
+        check(pt.get("gamma", 0) > 0, f"report.gp_trace[{i}].gamma not positive")
+    rounds = report["gp_rounds"]
+    check(len(rounds) == gp["inflation_rounds"],
+          f"report.gp_rounds has {len(rounds)} records, "
+          f"gp.inflation_rounds is {gp['inflation_rounds']}")
+    for i, r in enumerate(rounds):
+        expect_keys(r, ["round", "rc", "ace_005", "ace_1", "ace_2", "ace_5",
+                        "peak_utilization", "total_overflow",
+                        "overflowed_edges", "cells_inflated",
+                        "mean_inflation"], f"report.gp_rounds[{i}]")
+        check(all(type(v) in (int, float) for v in r.values()),
+              f"report.gp_rounds[{i}] holds a non-numeric value")
+        check(r.get("round") == i + 1,
+              f"report.gp_rounds[{i}].round is {r.get('round')}, not {i + 1}")
 
     check(report["counters"].get("gp.outer_iters", 0) > 0,
           "report.counters.gp.outer_iters not positive")
@@ -298,8 +316,8 @@ def run_negative_path(binary, tmp):
     report = load_json_strict(report_path, "failed-run report")
     if report is None:
         return
-    check(report.get("schema_version") == 5,
-          "failed-run report: schema_version != 5")
+    check(report.get("schema_version") == 6,
+          "failed-run report: schema_version != 6")
     validate_error_block(report, "ParseError", 3)
     validate_parse_block(report, "strict")
     if "error" in report:
@@ -331,11 +349,12 @@ def validate_snapshots(snap_dir, rounds_ran):
     manifest = load_json_strict(snap_dir / "manifest.json", "manifest")
     if manifest is None:
         return
-    expect_keys(manifest, ["schema_version", "tool", "convergence",
-                           "num_points", "num_rounds", "maps"], "manifest")
+    expect_keys(manifest, ["schema_version", "tool", "maps"], "manifest")
     if FAILURES:
         return
-    check(manifest["schema_version"] == 1, "manifest: schema_version != 1")
+    check(manifest["schema_version"] == 2, "manifest: schema_version != 2")
+    check(sorted(p.name for p in snap_dir.iterdir()) == ["manifest.json", "maps"],
+          "snapshot dir holds more than manifest.json and maps/")
     check(manifest["tool"] == "routplace-snapshot",
           "manifest: tool != routplace-snapshot")
     check_finite(manifest, "manifest")
@@ -353,13 +372,13 @@ def validate_snapshots(snap_dir, rounds_ran):
               f"{m['non_finite']} non-finite grid cells")
         grid_path = snap_dir / m["grid"]
         if check(grid_path.exists(), f"manifest: grid file '{m['grid']}' missing"):
-            raw = grid_path.read_bytes()
-            check(raw[:4] == b"RPG1", f"{m['grid']}: bad magic")
-            nx, ny = struct.unpack_from("<II", raw, 4)
+            try:
+                nx, ny, vals = read_grid(grid_path)
+            except ValueError as e:
+                check(False, str(e))
+                continue
             check((nx, ny) == (m["nx"], m["ny"]),
                   f"{m['grid']}: dims {nx}x{ny} != manifest {m['nx']}x{m['ny']}")
-            check(len(raw) == 12 + 8 * nx * ny, f"{m['grid']}: truncated payload")
-            vals = struct.unpack_from(f"<{nx * ny}d", raw, 12)
             check(all(math.isfinite(v) for v in vals),
                   f"{m['grid']}: non-finite cell values")
         names_by_stage.setdefault(m["stage"], set()).add(m["name"])
@@ -373,27 +392,6 @@ def validate_snapshots(snap_dir, rounds_ran):
     for name in ("demand", "capacity", "overflow", "congestion", "displacement"):
         check(name in names_by_stage.get("final", set()),
               f"manifest: final stage missing '{name}' map")
-
-    conv = load_json_strict(snap_dir / manifest["convergence"], "convergence")
-    if conv is None:
-        return
-    expect_keys(conv, ["schema_version", "points", "rounds"], "convergence")
-    if FAILURES:
-        return
-    check_finite(conv, "convergence")
-    points = conv["points"]
-    check(len(points) == manifest["num_points"],
-          "convergence: point count != manifest.num_points")
-    check(len(points) > 0, "convergence: no points")
-    for pt in points[:3]:
-        expect_keys(pt, ["level", "round", "outer", "hpwl", "overflow",
-                         "lambda", "gamma", "inflation"], "convergence.points[i]")
-    check(len(conv["rounds"]) == manifest["num_rounds"],
-          "convergence: round count != manifest.num_rounds")
-    for r in conv["rounds"][:3]:
-        expect_keys(r, ["round", "rc", "ace_005", "ace_1", "ace_2", "ace_5",
-                        "total_overflow", "cells_inflated", "mean_inflation"],
-                    "convergence.rounds[i]")
 
 
 def main():

@@ -18,31 +18,26 @@ isolates the SIMD/incremental axes at a fixed thread count with the
 cross-checker armed. Identical means:
 
 1. the .pl placement files are byte-identical;
-2. every snapshot artifact (manifests, grids, convergence history) is
-   byte-identical;
-3. rp_report_diff reports zero differences between the run reports (its
-   default ignore list covers the "parallel" and "simd" provenance blocks,
-   the only sections allowed to differ);
-4. a strict Python comparison of the reports after dropping only the
-   documented volatile keys (timings, RSS, build stamp, output paths,
-   parallel + simd blocks) — so a new thread- or dispatch-
-   dependent field can't hide behind a loose tolerance. This covers the
-   event count (events.emitted), which must not depend on the
-   configuration either.
+2. every snapshot artifact (the manifest and every grid) is byte-identical;
+3. report_diff.diff finds no difference between the run reports at zero
+   tolerance. It skips only the top-level keys in report_diff.VOLATILE
+   (timings, RSS, build stamp, output path, and the "parallel" and "simd"
+   provenance blocks), so every counter and the event count
+   (events.emitted) must match too.
 
 One more leg pins the flow across commits, not just across
-configurations: rp_report_diff (default volatile-key ignores, zero
-tolerance) must find run_1's report identical to the committed golden
-report tests/golden/gen700_s13.report.json. So any change to a placement,
-a metric, the GP trace or the event count (events.emitted) fails here
-unless the golden is re-recorded on purpose, from the repository root:
+configurations: report_diff.diff must find run_1's report identical to the
+committed golden report tests/golden/gen700_s13.report.json. So any change
+to a placement, a metric, the GP trace or rounds, a counter or the event
+count fails here unless the golden is re-recorded on purpose, from the
+repository root:
 
   mkdir -p /tmp/g && RP_SIMD=off build/src/core/routplace --gen 700 \
       --seed 13 --rounds 2 --threads 1 --incremental-eval off \
       --out /tmp/g/out.pl --snapshot-dir /tmp/g/snapshots \
       --report-json tests/golden/gen700_s13.report.json
 
-Usage: check_threads_determinism.py <routplace> <rp_report_diff> [threads]
+Usage: check_threads_determinism.py <routplace> [threads]
 Exit code 0 on success. `threads` defaults to max(4, hardware).
 """
 
@@ -54,34 +49,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+from report_diff import diff
+
 FAILURES = []
 
 GOLDEN_REPORT = (Path(__file__).resolve().parent.parent
                  / "tests" / "golden" / "gen700_s13.report.json")
-
-# Keys that legitimately differ between two identical runs (mirrors
-# report_diff_default_ignores() in src/core/report_diff.cpp). "profile",
-# "resources" and "gauges" are blocks older reports carry and current ones
-# do not; "simd" carries the requested/active dispatch level and the
-# incremental-eval switch, which differ across the matrix by construction.
-VOLATILE_KEYS = {"stage_times", "stage_total_sec", "peak_rss_kb", "build",
-                 "snapshot_dir", "parallel", "simd", "profile", "resources",
-                 "gauges"}
 
 
 def check(cond, what):
     if not cond:
         FAILURES.append(what)
     return cond
-
-
-def scrub(doc):
-    """Drop volatile keys (top level + counter names with a volatile prefix)."""
-    out = {k: v for k, v in doc.items() if k not in VOLATILE_KEYS}
-    if "counters" in out:
-        out["counters"] = {k: v for k, v in out["counters"].items()
-                           if not k.startswith("parallel.")}
-    return out
 
 
 def run_flow(routplace, outdir, threads, env=None, extra_args=()):
@@ -122,43 +101,32 @@ def compare_trees(dir_a, dir_b):
               f"'{rel}' differs between {dir_a.name} and {dir_b.name}")
 
 
-def compare_runs(report_diff, run_a, run_b):
-    """Apply checks 1-4 of the contract to one pair of runs."""
-    pair = f"{run_a.name} vs {run_b.name}"
+def load_report(run):
+    return json.loads((run / "run.report.json").read_text())
+
+
+def compare_reports(what, doc_a, doc_b):
+    diffs = diff(doc_a, doc_b)
+    return check(not diffs, f"{what}: {len(diffs)} report difference(s):\n"
+                 + "\n".join(f"    {p}: {a} -> {b}" for p, a, b, _ in diffs[:40]))
+
+
+def compare_runs(run_a, run_b):
+    """Apply checks 1-3 of the contract to one pair of runs."""
     compare_trees(run_a, run_b)
-
-    # rp_report_diff must see zero differences (reports + snapshots).
-    proc = subprocess.run(
-        [str(report_diff), str(run_a / "run.report.json"),
-         str(run_b / "run.report.json"),
-         "--snapshots", str(run_a / "snapshots"), str(run_b / "snapshots")],
-        capture_output=True, text=True, timeout=120)
-    check(proc.returncode == 0,
-          f"rp_report_diff [{pair}] exited {proc.returncode}:\n"
-          f"{proc.stdout[-2000:]}")
-    check("identical" in proc.stdout,
-          f"rp_report_diff [{pair}] did not report 'identical':\n"
-          f"{proc.stdout[-2000:]}")
-
-    # Strict comparison: everything outside the documented volatile keys
-    # must match EXACTLY (no tolerance).
-    doc_a = scrub(json.loads((run_a / "run.report.json").read_text()))
-    doc_b = scrub(json.loads((run_b / "run.report.json").read_text()))
-    check(doc_a == doc_b,
-          f"scrubbed reports differ [{pair}] exactly where they must not "
-          "(run with rp_report_diff for details)")
+    compare_reports(f"{run_a.name} vs {run_b.name}", load_report(run_a),
+                    load_report(run_b))
 
 
 def main():
-    if len(sys.argv) not in (3, 4):
+    if len(sys.argv) not in (2, 3):
         print(__doc__)
         return 2
-    routplace, report_diff = Path(sys.argv[1]), Path(sys.argv[2])
-    for p in (routplace, report_diff):
-        if not p.exists():
-            print(f"check_threads_determinism: '{p}' not found")
-            return 2
-    max_threads = int(sys.argv[3]) if len(sys.argv) == 4 \
+    routplace = Path(sys.argv[1])
+    if not routplace.exists():
+        print(f"check_threads_determinism: '{routplace}' not found")
+        return 2
+    max_threads = int(sys.argv[2]) if len(sys.argv) == 3 \
         else max(4, os.cpu_count() or 1)
 
     with tempfile.TemporaryDirectory(prefix="rp_threads_det_") as tmp:
@@ -176,25 +144,18 @@ def main():
             print("\n".join(FAILURES))
             return 1
 
-        compare_runs(report_diff, run_1, run_n)
-        compare_runs(report_diff, run_1, run_s)
+        compare_runs(run_1, run_n)
+        compare_runs(run_1, run_s)
 
         # Golden leg: run_1 must still reproduce the committed report.
-        proc = subprocess.run(
-            [str(report_diff), str(GOLDEN_REPORT),
-             str(run_1 / "run.report.json")],
-            capture_output=True, text=True, timeout=120)
-        check(proc.returncode == 0 and "identical" in proc.stdout,
-              f"run_1 differs from the golden report {GOLDEN_REPORT.name} "
-              f"(rp_report_diff exited {proc.returncode}; re-record it as "
-              f"this script's docstring says only if the change is "
-              f"intended):\n{proc.stdout[-2000:]}{proc.stderr[-500:]}")
+        rep_1, rep_n, rep_s = map(load_report, (run_1, run_n, run_s))
+        compare_reports(
+            f"run_1 vs the golden report {GOLDEN_REPORT.name} (re-record it "
+            f"as this script's docstring says only if the change is intended)",
+            json.loads(GOLDEN_REPORT.read_text()), rep_1)
 
         # Sanity: the runs really exercised the asymmetric configurations
         # (the asymmetry is the point).
-        rep_1 = json.loads((run_1 / "run.report.json").read_text())
-        rep_n = json.loads((run_n / "run.report.json").read_text())
-        rep_s = json.loads((run_s / "run.report.json").read_text())
         check(rep_n["parallel"]["threads"] == max_threads,
               f"report says threads={rep_n['parallel']['threads']}, "
               f"expected {max_threads}")

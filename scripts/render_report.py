@@ -40,9 +40,11 @@ def heat_color(t):
 def read_grid(path):
     """Parse an RPG1 binary grid -> (nx, ny, row-major values)."""
     raw = Path(path).read_bytes()
-    if raw[:4] != b"RPG1":
+    if raw[:4] != b"RPG1" or len(raw) < 12:
         raise ValueError(f"{path}: bad magic")
     nx, ny = struct.unpack_from("<II", raw, 4)
+    if len(raw) != 12 + 8 * nx * ny:
+        raise ValueError(f"{path}: {len(raw)} bytes for a {nx}x{ny} grid")
     vals = struct.unpack_from(f"<{nx * ny}d", raw, 12)
     return nx, ny, vals
 
@@ -230,15 +232,8 @@ def main():
 
     parts.append('<h2>Result</h2><div class="cards">' + metric_cards(report) + "</div>")
 
-    # Convergence: prefer the snapshot history (has gamma + per-round ACE),
-    # fall back to the report's gp_trace.
-    points = None
-    rounds = []
-    if snap_dir is not None and (snap_dir / "convergence.json").exists():
-        conv = json.loads((snap_dir / "convergence.json").read_text())
-        points, rounds = conv.get("points", []), conv.get("rounds", [])
-    elif report.get("gp_trace"):
-        points = report["gp_trace"]
+    points = report.get("gp_trace", [])
+    rounds = report.get("gp_rounds", [])
     if points:
         parts.append("<h2>Convergence</h2>")
         parts.append("<div>HPWL (log) and density overflow per GP outer iteration:</div>")

@@ -1,8 +1,9 @@
 #pragma once
-// Build/version provenance stamped into every run report, so a report (and a
-// rp_report_diff between two reports) identifies the binary that produced
-// it. Values are injected by src/core/CMakeLists.txt at configure time;
-// builds outside git fall back to "unknown".
+// Build/version provenance stamped into every run report, so a report
+// identifies the binary that produced it (scripts/report_diff.py skips this
+// block: two builds of the same source place identically). Values are
+// injected by src/core/CMakeLists.txt at configure time; builds outside git
+// fall back to "unknown".
 
 #include <string>
 

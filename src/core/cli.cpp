@@ -80,7 +80,7 @@ std::string cli_usage() {
       "                          dump the last events + counter snapshot here\n"
       "  --snapshot-dir <dir>    capture spatial snapshots: density/congestion/\n"
       "                          inflation/displacement heatmaps per routability\n"
-      "                          round + convergence history (see DESIGN.md)\n"
+      "                          round and flow stage (see DESIGN.md)\n"
       "  --snapshot-every <n>    also capture a density map every n finest-level\n"
       "                          GP iterations (0 = off, default)\n"
       "  --verbose               per-iteration placer logging\n"

@@ -40,7 +40,7 @@ struct CliConfig {
   std::string report_json;   ///< Structured run report (see core/run_report.hpp).
   std::string flight_json;   ///< Flight-recorder dump on error/crash/interrupt.
   // Spatial snapshots (see core/snapshot.hpp):
-  std::string snapshot_dir;  ///< Heatmaps + convergence history directory.
+  std::string snapshot_dir;  ///< Heatmap directory.
   int snapshot_every = 0;    ///< >0: finest-level density map every N outers.
 };
 

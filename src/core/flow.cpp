@@ -8,7 +8,6 @@
 #include "util/error.hpp"
 #include "util/logger.hpp"
 #include "util/obs_context.hpp"
-#include "util/telemetry.hpp"
 
 namespace rp {
 
@@ -78,6 +77,7 @@ FlowResult PlacementFlow::run(Design& d) {
     GlobalPlacer gp(gpo);
     r.gp = gp.run(d);
     r.gp_trace = gp.trace();
+    r.gp_rounds = gp.rounds();
     r.times.merge("global", gp.times());
   });
 
@@ -91,7 +91,6 @@ FlowResult PlacementFlow::run(Design& d) {
   with_stage("macro_legal", r.times, [&] {
     r.macro_legal = legalize_macros(d, opt_.macro_legal);
     freeze_macros(d);
-    RP_COUNT("legal.macros", r.macro_legal.macros);
   });
 
   with_stage("legal", r.times, [&] {
@@ -107,8 +106,6 @@ FlowResult PlacementFlow::run(Design& d) {
                "unknown legalizer '" + opt_.legalizer + "'");
     }
     r.legal = ls;
-    RP_COUNT("legal.cells", ls.cells);
-    RP_COUNT("legal.failed", ls.failed);
     RP_INFO("legalization (%s): %d cells, avg disp %.2f, max %.2f, %d failed",
             opt_.legalizer.c_str(), ls.cells, ls.avg_disp(), ls.max_disp, ls.failed);
   });
@@ -153,7 +150,7 @@ FlowResult PlacementFlow::run(Design& d) {
             r.eval.legality.ok() ? "yes" : "NO");
   });
   if (snap) {
-    snap->finalize(r.gp_trace);
+    snap->finalize();
     r.snapshot_dir = snap->dir();
   }
   {

@@ -67,6 +67,7 @@ struct FlowResult {
   std::optional<RoutingGrid> eval_grid;
   StageTimes times;
   std::vector<GpTracePoint> gp_trace;
+  std::vector<GpRoundRecord> gp_rounds;  ///< One per routability round.
   std::string snapshot_dir;  ///< Where snapshots landed (empty: disabled).
   /// The context this run observed into (FlowOptions::obs, or the fresh one
   /// the run made). run_report_json reads counters and event totals through

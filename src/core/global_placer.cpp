@@ -178,6 +178,7 @@ bool GlobalPlacer::watchdog_tripped() {
 GpStats GlobalPlacer::run(Design& d) {
   RP_ASSERT(d.finalized(), "GlobalPlacer needs a finalized design");
   trace_.clear();
+  rounds_.clear();
   times_ = StageTimes();
   wall_.reset();
   outers_done_ = 0;
@@ -192,7 +193,6 @@ GpStats GlobalPlacer::run(Design& d) {
   }
   Multilevel& ml = *ml_holder;
   stats.levels = ml.num_levels();
-  RP_COUNT("gp.levels", stats.levels);
 
   // Coarsest level starts from scratch.
   initial_positions(ml.level(ml.top()).prob, rng);
@@ -244,17 +244,11 @@ GpStats GlobalPlacer::run(Design& d) {
             prob, rg, opt_.routability.inflate_rate, opt_.routability.max_inflate,
             opt_.routability.max_total_inflation);
         ++stats.inflation_rounds;
-        RP_COUNT("gp.inflation_rounds", 1);
-        if (opt_.snapshot != nullptr) {
+        rounds_.push_back({round + 1, congestion_metrics(rg), ir.cells_inflated,
+                           ir.mean_inflation});
+        if (opt_.snapshot != nullptr)
           opt_.snapshot->record_grid(stage, "inflation",
                                      inflation_map(prob, dens.grid()));
-          SnapshotRoundRecord rr;
-          rr.round = round + 1;
-          rr.congestion = congestion_metrics(rg);
-          rr.cells_inflated = ir.cells_inflated;
-          rr.mean_inflation = ir.mean_inflation;
-          opt_.snapshot->record_round(rr);
-        }
         if (ir.cells_inflated == 0) break;
         RP_INFO("gp routability round %d: %d cells inflated, mean %.3f", round + 1,
                 ir.cells_inflated, ir.mean_inflation);

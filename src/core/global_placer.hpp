@@ -24,6 +24,7 @@
 #include "db/design.hpp"
 #include "model/density.hpp"
 #include "model/wirelength.hpp"
+#include "route/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace rp {
@@ -71,8 +72,8 @@ struct GpOptions {
   SnapshotRecorder* snapshot = nullptr;
 };
 
-/// One record per outer iteration (Fig-5 convergence data; also what the
-/// snapshot recorder writes to convergence.json).
+/// One record per outer iteration (Fig-5 convergence data; the run report's
+/// gp_trace).
 struct GpTracePoint {
   int level = 0;  ///< Multilevel level (0 = finest); -r for reheat round r.
   int outer = 0;  ///< Outer iteration within the level/round.
@@ -81,6 +82,15 @@ struct GpTracePoint {
   double lambda = 0.0;
   double gamma = 0.0;      ///< WL smoothing width (the step-size schedule).
   double inflation = 1.0;  ///< Mean cell inflation at this point.
+};
+
+/// One record per routability round: the estimated congestion that drove
+/// the round's inflation (the run report's gp_rounds).
+struct GpRoundRecord {
+  int round = 0;  ///< 1-based; the round's reheat points carry level -round.
+  CongestionMetrics congestion;
+  int cells_inflated = 0;
+  double mean_inflation = 1.0;
 };
 
 struct GpStats {
@@ -100,6 +110,7 @@ class GlobalPlacer {
   GpStats run(Design& d);
 
   const std::vector<GpTracePoint>& trace() const { return trace_; }
+  const std::vector<GpRoundRecord>& rounds() const { return rounds_; }
 
   /// Internal runtime breakdown ("clustering", "level<k>", "routability"),
   /// spliced into the flow's StageTimes under "global/".
@@ -124,6 +135,7 @@ class GlobalPlacer {
 
   GpOptions opt_;
   std::vector<GpTracePoint> trace_;
+  std::vector<GpRoundRecord> rounds_;
   StageTimes times_;
   Timer wall_;              ///< Started by run(); read by the seconds watchdog.
   int outers_done_ = 0;     ///< Total outer iterations (all levels + reheats).

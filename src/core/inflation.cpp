@@ -70,7 +70,6 @@ InflationResult apply_congestion_inflation(PlaceProblem& prob, const RoutingGrid
                         ? (current_extra + scale * std::min(want_total, std::max(0.0, room))) /
                               movable_area
                         : 0.0;
-  RP_COUNT("gp.inflation_passes", 1);
   RP_COUNT("gp.cells_inflated", res.cells_inflated);
   RP_DEBUG("inflation: %d cells grown (scale %.2f), mean factor %.3f", res.cells_inflated,
            scale, res.mean_inflation);

@@ -105,13 +105,13 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
 
   JsonWriter w(2);
   w.begin_object();
-  // v5 added an optional "resources" block that is no longer written; v4
-  // added the "events" block and reads the parse block's repair counts from
-  // the per-run counters; v3 the optional "parse"/"error" blocks; v2 an
-  // optional "profile" block, also no longer written, as is the v1
-  // "gauges" block. Every other field is unchanged, so old consumers keep
-  // working.
-  w.kv("schema_version", 5);
+  // v6 added gp_trace[i].gamma and the gp_rounds array; v5 an optional
+  // "resources" block that is no longer written; v4 the "events" block and
+  // the parse block's repair counts read from the per-run counters; v3 the
+  // optional "parse"/"error" blocks; v2 an optional "profile" block, also
+  // no longer written, as is the v1 "gauges" block. Every other field is
+  // unchanged, so old consumers keep working.
+  w.kv("schema_version", 6);
   w.kv("tool", "routplace");
 
   if (err.failed) {
@@ -173,7 +173,7 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
 
   // Runtime provenance, not results: everything under "parallel" may differ
   // between two otherwise-identical runs (thread count, pool statistics), so
-  // rp_report_diff ignores the whole block by default — the determinism
+  // scripts/report_diff.py ignores the whole block — the determinism
   // contract is that every block OUTSIDE it is byte-identical for any
   // --threads value.
   w.key("parallel").begin_object();
@@ -186,8 +186,8 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
 
   // Kernel-dispatch provenance, same contract as "parallel": the active
   // vector level and the incremental-eval switch never change results (the
-  // determinism gate diffs across them), so the whole block is ignored by
-  // rp_report_diff and the determinism check.
+  // determinism gate diffs across them), so scripts/report_diff.py ignores
+  // the whole block.
   w.key("simd").begin_object();
   w.kv("requested", simd::requested());
   w.kv("active", simd::level_name(simd::active_level()));
@@ -216,7 +216,26 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
     w.kv("hpwl", p.hpwl);
     w.kv("overflow", p.overflow);
     w.kv("lambda", p.lambda);
+    w.kv("gamma", p.gamma);
     w.kv("inflation", p.inflation);
+    w.end_object();
+  }
+  w.end_array();
+
+  w.key("gp_rounds").begin_array();
+  for (const GpRoundRecord& g : r.gp_rounds) {
+    w.begin_object();
+    w.kv("round", g.round);
+    w.kv("rc", g.congestion.rc);
+    w.kv("ace_005", g.congestion.ace_005);
+    w.kv("ace_1", g.congestion.ace_1);
+    w.kv("ace_2", g.congestion.ace_2);
+    w.kv("ace_5", g.congestion.ace_5);
+    w.kv("peak_utilization", g.congestion.peak_utilization);
+    w.kv("total_overflow", g.congestion.total_overflow);
+    w.kv("overflowed_edges", g.congestion.overflowed_edges);
+    w.kv("cells_inflated", g.cells_inflated);
+    w.kv("mean_inflation", g.mean_inflation);
     w.end_object();
   }
   w.end_array();

@@ -4,16 +4,17 @@
 // A run report is one JSON document capturing everything a single
 // PlacementFlow::run produced: the design/seed/options fingerprint, the
 // evaluation bundle (HPWL, scaled HPWL, ACE/RC, overflow, legality), per-stage
-// stats (GP, macro legal, legal, DP), the full GP convergence trace, the
-// nested stage-time breakdown, a snapshot of every telemetry counter,
-// and the process peak RSS. Emitted by `routplace --report-json <file>`;
-// checked by scripts/check_report.py, diffed by rp_report_diff, and pinned
-// by the committed tests/golden/gen700_s13.report.json.
+// stats (GP, macro legal, legal, DP), the full GP convergence trace and one
+// record per routability round, the nested stage-time breakdown, a snapshot
+// of every telemetry counter, and the process peak RSS. Emitted by
+// `routplace --report-json <file>`; checked by scripts/check_report.py,
+// diffed by scripts/report_diff.py, and pinned by the committed
+// tests/golden/gen700_s13.report.json.
 //
 // Schema (stable keys; see DESIGN.md "Observability" for the full contract):
 //   schema_version, tool, build{git_describe, compiler, build_type, flags,
 //   cxx_standard}, design{...}, options{...}, eval{...}, gp{...},
-//   gp_trace[...], macro_legal{...}, legal{...}, dp{...},
+//   gp_trace[...], gp_rounds[...], macro_legal{...}, legal{...}, dp{...},
 //   stage_times{...}, stage_total_sec, counters{...},
 //   peak_rss_kb, snapshot_dir
 //   v3 additions: optional "parse" block (Bookshelf input: mode + per-repair
@@ -26,11 +27,11 @@
 //   report for run A is correct even while run B is bound on this thread.
 //   v5 additions: an optional "resources" block (a sampled RSS/CPU/pool-busy
 //   timeline). It is no longer written; the version stays 5 because the
-//   block was always optional, and "resources" stays on the report-diff and
-//   determinism ignore lists so older v5 reports still compare clean.
-//   The "gauges" block (named values that copied eval/gp fields) is no
-//   longer written either, on the same terms: the version stays 5 and
-//   "gauges" sits on both ignore lists.
+//   block was always optional. The "gauges" block (named values that copied
+//   eval/gp fields) is no longer written either.
+//   v6 additions: gp_trace[i].gamma (the WL smoothing width) and the
+//   gp_rounds array (per routability round: round, the estimated
+//   CongestionMetrics fields, cells_inflated, mean_inflation).
 
 #include <cstdint>
 #include <string>

@@ -1,6 +1,5 @@
 #include "core/snapshot.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -49,7 +48,7 @@ SnapshotRecorder::SnapshotRecorder(SnapshotOptions opt) : opt_(std::move(opt)) {
 }
 
 SnapshotRecorder::~SnapshotRecorder() {
-  if (ok_ && !finalized_) finalize({});
+  if (ok_ && !finalized_) finalize();
 }
 
 void SnapshotRecorder::record_grid(const std::string& stage, const std::string& name,
@@ -70,60 +69,14 @@ void SnapshotRecorder::record_grid(const std::string& stage, const std::string& 
   maps_.push_back(std::move(e));
 }
 
-void SnapshotRecorder::record_round(const SnapshotRoundRecord& r) {
-  if (ok_) rounds_.push_back(r);
-}
-
-bool SnapshotRecorder::finalize(const std::vector<GpTracePoint>& gp_trace) {
+bool SnapshotRecorder::finalize() {
   if (!ok_ || finalized_) return ok_;
   finalized_ = true;
 
-  JsonWriter conv(2);
-  conv.begin_object();
-  conv.kv("schema_version", 1);
-  conv.key("points").begin_array();
-  for (const GpTracePoint& p : gp_trace) {
-    // A reheat round's points carry level -r; the file splits that into
-    // level 0, round r.
-    conv.begin_object();
-    conv.kv("level", std::max(p.level, 0));
-    conv.kv("round", std::max(-p.level, 0));
-    conv.kv("outer", p.outer);
-    conv.kv("hpwl", p.hpwl);
-    conv.kv("overflow", p.overflow);
-    conv.kv("lambda", p.lambda);
-    conv.kv("gamma", p.gamma);
-    conv.kv("inflation", p.inflation);
-    conv.end_object();
-  }
-  conv.end_array();
-  conv.key("rounds").begin_array();
-  for (const SnapshotRoundRecord& r : rounds_) {
-    conv.begin_object();
-    conv.kv("round", r.round);
-    conv.kv("rc", r.congestion.rc);
-    conv.kv("ace_005", r.congestion.ace_005);
-    conv.kv("ace_1", r.congestion.ace_1);
-    conv.kv("ace_2", r.congestion.ace_2);
-    conv.kv("ace_5", r.congestion.ace_5);
-    conv.kv("peak_utilization", r.congestion.peak_utilization);
-    conv.kv("total_overflow", r.congestion.total_overflow);
-    conv.kv("overflowed_edges", r.congestion.overflowed_edges);
-    conv.kv("cells_inflated", r.cells_inflated);
-    conv.kv("mean_inflation", r.mean_inflation);
-    conv.end_object();
-  }
-  conv.end_array();
-  conv.end_object();
-  bool ok = write_text_file(opt_.dir + "/convergence.json", conv.str());
-
   JsonWriter man(2);
   man.begin_object();
-  man.kv("schema_version", 1);
+  man.kv("schema_version", 2);
   man.kv("tool", "routplace-snapshot");
-  man.kv("convergence", "convergence.json");
-  man.kv("num_points", static_cast<int>(gp_trace.size()));
-  man.kv("num_rounds", static_cast<int>(rounds_.size()));
   man.key("maps").begin_array();
   for (const MapEntry& e : maps_) {
     man.begin_object();
@@ -141,9 +94,8 @@ bool SnapshotRecorder::finalize(const std::vector<GpTracePoint>& gp_trace) {
   }
   man.end_array();
   man.end_object();
-  ok = write_text_file(opt_.dir + "/manifest.json", man.str()) && ok;
-  RP_INFO("snapshot: %d maps, %d convergence points -> '%s'",
-          static_cast<int>(maps_.size()), static_cast<int>(gp_trace.size()),
+  const bool ok = write_text_file(opt_.dir + "/manifest.json", man.str());
+  RP_INFO("snapshot: %d maps -> '%s'", static_cast<int>(maps_.size()),
           opt_.dir.c_str());
   return ok;
 }

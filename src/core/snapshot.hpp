@@ -1,33 +1,30 @@
 #pragma once
-// Spatial run snapshots: per-iteration convergence history and per-round /
-// per-stage heatmaps, captured under `--snapshot-dir <dir>`.
+// Spatial run snapshots: per-round / per-stage heatmaps, captured under
+// `--snapshot-dir <dir>`.
 //
 // The recorder owns one output directory and produces:
 //
 //   <dir>/manifest.json        index of every captured map (stage, name,
 //                              files, dims, value stats) + schema version
-//   <dir>/convergence.json     one point per GP outer iteration (hpwl,
-//                              overflow, lambda, gamma, inflation) and one
-//                              record per routability round (ACE/RC,
-//                              overflow, cells inflated)
 //   <dir>/maps/NNN_<stage>_<name>.grid   compact binary grid (util/heatmap);
 //                              scripts/render_report.py renders these
 //
+// The directory holds maps only: the per-iteration GP history and the
+// per-round congestion records are the run report's gp_trace and gp_rounds.
+//
 // Everything written is DETERMINISTIC — no wall-clock times, no absolute
 // paths — so two runs with the same seed produce byte-identical snapshot
-// trees; `rp_report_diff` and the determinism tests rely on this.
+// trees; scripts/report_diff.py and the determinism tests rely on this.
 //
 // Capture sites hold a nullable SnapshotRecorder*; with no recorder the
 // whole subsystem is a pointer test per capture site (<1% overhead rule).
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/global_placer.hpp"
 #include "db/design.hpp"
 #include "model/problem.hpp"
-#include "route/metrics.hpp"
+#include "util/grid.hpp"
 #include "util/heatmap.hpp"
 
 namespace rp {
@@ -35,14 +32,6 @@ namespace rp {
 struct SnapshotOptions {
   std::string dir;        ///< Empty: snapshots disabled.
   int density_every = 0;  ///< >0: finest-level density map every N outers.
-};
-
-/// One routability round: the congestion picture that drove inflation.
-struct SnapshotRoundRecord {
-  int round = 0;  ///< 1-based.
-  CongestionMetrics congestion;
-  int cells_inflated = 0;
-  double mean_inflation = 1.0;
 };
 
 class SnapshotRecorder {
@@ -62,16 +51,12 @@ class SnapshotRecorder {
   void record_grid(const std::string& stage, const std::string& name,
                    const Grid2D<double>& g);
 
-  void record_round(const SnapshotRoundRecord& r);
-
   int num_maps() const { return static_cast<int>(maps_.size()); }
 
-  /// Write manifest.json + convergence.json, whose points are `gp_trace`
-  /// (the GP run's GlobalPlacer::trace()). Idempotent; called by the flow
-  /// after GP. The destructor is a safety net for a flow that unwound early:
-  /// it writes the maps and rounds with no points. Returns false on I/O
-  /// errors.
-  bool finalize(const std::vector<GpTracePoint>& gp_trace);
+  /// Write manifest.json. Idempotent; called by the flow after eval. The
+  /// destructor is a safety net for a flow that unwound early: it indexes
+  /// the maps captured so far. Returns false on I/O errors.
+  bool finalize();
 
  private:
   struct MapEntry {
@@ -84,7 +69,6 @@ class SnapshotRecorder {
 
   SnapshotOptions opt_;
   std::vector<MapEntry> maps_;
-  std::vector<SnapshotRoundRecord> rounds_;
   int seq_ = 0;
   bool ok_ = false;
   bool finalized_ = false;

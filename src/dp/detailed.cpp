@@ -543,10 +543,6 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
   if (use_inc && inc.cross_check())
     RP_ASSERT(stats.hpwl_after == d.hpwl(),
               "incremental: total cost drifted from Design::hpwl()");
-  RP_COUNT("dp.swaps", stats.swaps);
-  RP_COUNT("dp.relocations", stats.relocations);
-  RP_COUNT("dp.reorders", stats.reorders);
-  RP_COUNT("dp.ism_moves", stats.ism_moves);
   return stats;
 }
 

@@ -14,8 +14,8 @@
 //  2. keeps the running event count for the run report's "events" block.
 //
 // Per-iteration convergence lives in GlobalPlacer::trace() (GpTracePoint) and
-// per-round congestion in the snapshot's SnapshotRoundRecord; the bus keeps
-// no copy of either.
+// per-round congestion in GlobalPlacer::rounds() (GpRoundRecord); the bus
+// keeps no copy of either.
 //
 // Determinism contract: every PAYLOAD field (kind, label, i0..i2, d0..d3) is
 // a pure function of the placement computation and is therefore byte-

@@ -3,8 +3,8 @@
 //
 // A snapshot map is one compact binary grid file ("RPG1": magic, uint32
 // nx/ny, float64 row-major payload) — the byte-exact form the determinism
-// tests and rp_report_diff compare, and the one scripts/render_report.py
-// turns into images.
+// tests and scripts/report_diff.py compare, and the one
+// scripts/render_report.py turns into images.
 //
 // The writer is deterministic: same grid in, same bytes out. The format
 // stores doubles in host byte order (the toolchain targets little-endian;

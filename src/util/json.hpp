@@ -87,6 +87,9 @@ struct JsonValue {
   bool has(const std::string& k) const { return is_object() && obj.count(k) > 0; }
   /// Object member access; throws std::runtime_error when absent.
   const JsonValue& at(const std::string& k) const;
+
+  /// Deep equality; numbers compare exactly.
+  bool operator==(const JsonValue&) const = default;
 };
 
 /// Deepest array/object nesting json_parse accepts. The parser recurses once

@@ -214,7 +214,7 @@ TEST(Cli, EndToEndEmitsReport) {
 
   // Report: schema-valid and self-consistent.
   const JsonValue rep = json_parse(ss.str());
-  EXPECT_EQ(rep.at("schema_version").num, 5.0);
+  EXPECT_EQ(rep.at("schema_version").num, 6.0);
   EXPECT_FALSE(rep.has("profile"));    // no longer written
   EXPECT_FALSE(rep.has("resources"));  // no longer written
   EXPECT_FALSE(rep.has("gauges"));     // no longer written

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <vector>
 
 #include "core/flow.hpp"
 #include "core/run_report.hpp"
@@ -192,8 +194,54 @@ TEST_F(FlowTest, RunReportMatchesEvaluation) {
   // The flow populated the counter registry; the report snapshots it.
   EXPECT_GT(doc.at("counters").at("gp.outer_iters").num, 0.0);
   EXPECT_GT(doc.at("counters").at("solver.cg_iters").num, 0.0);
-  EXPECT_GT(doc.at("counters").at("legal.cells").num, 0.0);
+  EXPECT_DOUBLE_EQ(doc.at("legal").at("cells").num, r.legal.cells);
   EXPECT_GT(doc.at("peak_rss_kb").num, 0.0);
+}
+
+TEST_F(FlowTest, GpRoundsRecordEachRoutabilityRound) {
+  // One report per run; the design is regenerated because a run places it.
+  const auto report = [](const std::string& snapshot_dir) {
+    Design d = generate_benchmark(tiny_spec(73));
+    FlowOptions opt = routability_driven_options();
+    opt.skip_dp = true;
+    opt.snapshot.dir = snapshot_dir;
+    PlacementFlow flow(opt);
+    const FlowResult r = flow.run(d);
+    EXPECT_EQ(static_cast<int>(r.gp_rounds.size()), r.gp.inflation_rounds);
+    return json_parse(run_report_json(
+        make_report_meta(d, "generated", "routability", 73), opt, r));
+  };
+  const JsonValue plain = report("");
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "rp_flow_gp_rounds";
+  std::filesystem::remove_all(dir);
+  const JsonValue snap = report(dir.string());
+  std::filesystem::remove_all(dir);
+
+  const std::vector<JsonValue>& rounds = plain.at("gp_rounds").arr;
+  ASSERT_FALSE(rounds.empty());
+  EXPECT_EQ(static_cast<double>(rounds.size()),
+            plain.at("gp").at("inflation_rounds").num);
+  // Recorded whether or not snapshots are captured.
+  EXPECT_TRUE(snap.at("gp_rounds") == plain.at("gp_rounds"));
+
+  // Round r's reheat points keep their level -r tag in gp_trace.
+  const std::vector<JsonValue>& trace = plain.at("gp_trace").arr;
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    const int round = static_cast<int>(rounds[i].at("round").num);
+    EXPECT_EQ(round, static_cast<int>(i) + 1);
+    const auto tagged = std::count_if(trace.begin(), trace.end(), [&](const JsonValue& p) {
+      return p.at("level").num == -round;
+    });
+    if (rounds[i].at("cells_inflated").num > 0)
+      EXPECT_GT(tagged, 0) << "round " << round;
+    else
+      EXPECT_EQ(tagged, 0) << "round " << round;
+  }
+  for (const JsonValue& p : trace) {
+    EXPECT_GE(p.at("level").num, -static_cast<double>(rounds.size()));
+    EXPECT_GT(p.at("gamma").num, 0.0);
+  }
 }
 
 TEST_F(FlowTest, CounterRegistryResetsBetweenRuns) {

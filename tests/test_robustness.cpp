@@ -356,7 +356,7 @@ TEST_F(CliErrors, ParseErrorExitsThreeAndWritesErrorBlock) {
   EXPECT_NE(report.find("\"code\": \"ParseError\""), std::string::npos);
   EXPECT_NE(report.find("\"exit_code\": 3"), std::string::npos);
   EXPECT_NE(report.find("m.nodes"), std::string::npos);  // failing file:line
-  EXPECT_NE(report.find("\"schema_version\": 5"), std::string::npos);
+  EXPECT_NE(report.find("\"schema_version\": 6"), std::string::npos);
 }
 
 TEST_F(CliErrors, MissingAuxExitsSix) {
